@@ -5,9 +5,8 @@ from .engine import SimConfig, Trace, init, run, step
 from .generators import (FamilySpec, cycle, diamond_gadget_chain,
                          flower_barrier, four_cycle_chain, grid_triangulation,
                          path_dual)
-from .graph import (DisconnectedGraphError, EdgeState, Graph, GraphError,
-                    GraphFormatError, LocalView, VertexState, diameter,
-                    load_graph, save_graph)
+from .graph import (DisconnectedGraphError, Graph, GraphError,
+                    GraphFormatError, diameter, load_graph, save_graph)
 from .metrics import (GrowthFit, RefreshSeries, baseline_lower_bound,
                       fit_growth, frequency_histogram, refresh_series,
                       vertex_peak_refresh)
@@ -15,5 +14,5 @@ from .oracle import (WorstCaseResult, exhaustive_tiebreak_search,
                      hamiltonian_cycle, reference_run)
 from .ownership import (OwnerMap, OwnershipInfeasible, assign_owners,
                         verify_theorem1, verify_theorem2)
-from .policies import PolicyKind, TieBreakSpec, decide
+from .policies import PolicyKind, TieBreakSpec, decision_keys, tied_entries
 from .triangulation import Triangulation, load_triangulation, save_triangulation

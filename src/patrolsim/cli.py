@@ -89,8 +89,22 @@ _TIEBREAK_KEYS = {"kind", "seed", "script"}
 _OUTPUT_KEYS = {"events", "metrics", "summary"}
 
 
+_KIND_NAMES = {int: "an integer", str: "a string", list: "a list",
+               dict: "an object"}
+
+
+def _check(value, kind: type, path: str):
+    """``value`` if it is a ``kind``, else a usage error.  true and false
+    are ints to Python but not vertex ids, rounds or seeds."""
+    if not isinstance(value, kind) or (kind is int
+                                       and isinstance(value, bool)):
+        raise CliError(f"scenario: {path} must be {_KIND_NAMES[kind]}, "
+                       f"got {value!r}")
+    return value
+
+
 def _reject_unknown(mapping: dict, allowed: set, path: str) -> None:
-    for key in mapping:
+    for key in _check(mapping, dict, path.rstrip(".")):
         if key not in allowed:
             raise CliError(f"scenario: unknown key {path}{key}")
 
@@ -111,9 +125,13 @@ def _parse_tiebreak(raw) -> TieBreakSpec:
     if kind == "lowest_id":
         return TieBreakSpec.lowest_id()
     if kind == "seeded_random":
-        return TieBreakSpec.seeded_random(raw.get("seed"))
+        seed = raw.get("seed")
+        return TieBreakSpec.seeded_random(
+            None if seed is None else _check(seed, int, "tiebreak.seed"))
     if kind == "scripted":
-        return TieBreakSpec.scripted(raw.get("script", ()))
+        return TieBreakSpec.scripted(
+            _check(i, int, "tiebreak.script[]")
+            for i in _check(raw.get("script", []), list, "tiebreak.script"))
     raise CliError(f"scenario: unknown tiebreak kind {kind!r}")
 
 
@@ -135,28 +153,40 @@ def load_scenario(path, witness: str | None = None) -> tuple[SimConfig, dict]:
     _reject_unknown(graph_raw, _GRAPH_KEYS, "graph.")
     if "file" in graph_raw:
         try:
-            g = load_graph(graph_raw["file"])
+            g = load_graph(_check(graph_raw["file"], str, "graph.file"))
         except (OSError, GraphFormatError) as exc:
             raise CliError(f"scenario: graph.file: {exc}")
     elif "family" in graph_raw:
-        family = graph_raw["family"].replace("-", "_")
+        family = _check(graph_raw["family"], str, "graph.family")
+        params = {k: _check(v, int, f"graph.params.{k}") for k, v
+                  in _check(graph_raw.get("params", {}), dict,
+                            "graph.params").items()}
         try:
-            g = generators.FamilySpec(family, graph_raw.get("params", {})).build()
+            g = generators.FamilySpec(family.replace("-", "_"),
+                                      params).build()
         except ValueError as exc:
             raise CliError(f"scenario: graph: {exc}")
     else:
         raise CliError("scenario: graph needs 'family' or 'file'")
 
     try:
-        policy = PolicyKind.parse(raw["policy"])
+        policy = PolicyKind.parse(_check(raw["policy"], str, "policy"))
     except ValueError as exc:
         raise CliError(f"scenario: policy: {exc}")
 
     robots_raw = raw["robots"]
     _reject_unknown(robots_raw, _ROBOT_KEYS, "robots.")
-    starts = tuple(robots_raw.get("starts", ()))
-    arrivals = tuple((int(r), int(v))
-                     for r, v in robots_raw.get("arrivals", ()))
+    starts = tuple(_check(v, int, "robots.starts[]") for v
+                   in _check(robots_raw.get("starts", []), list,
+                             "robots.starts"))
+    arrivals = []
+    for pair in _check(robots_raw.get("arrivals", []), list,
+                       "robots.arrivals"):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise CliError("scenario: robots.arrivals entries must be "
+                           f"[round, vertex] pairs, got {pair!r}")
+        arrivals.append(tuple(_check(x, int, "robots.arrivals[][]")
+                              for x in pair))
 
     if witness is not None:
         try:
@@ -170,10 +200,14 @@ def load_scenario(path, witness: str | None = None) -> tuple[SimConfig, dict]:
 
     outputs = raw.get("outputs", {})
     _reject_unknown(outputs, _OUTPUT_KEYS, "outputs.")
+    for key, name in outputs.items():
+        _check(name, str, f"outputs.{key}")
     try:
         config = SimConfig(graph=g, policy=policy, starts=starts,
-                           horizon=int(raw["horizon"]), tiebreak=tiebreak,
-                           seed=int(raw.get("seed", 0)), arrivals=arrivals)
+                           horizon=_check(raw["horizon"], int, "horizon"),
+                           tiebreak=tiebreak,
+                           seed=_check(raw.get("seed", 0), int, "seed"),
+                           arrivals=tuple(arrivals))
     except ValueError as exc:
         raise CliError(f"scenario: {exc}")
     return config, outputs
@@ -181,19 +215,24 @@ def load_scenario(path, witness: str | None = None) -> tuple[SimConfig, dict]:
 
 def cmd_simulate(args) -> int:
     config, outputs = load_scenario(args.scenario, witness=args.witness)
-    if args.horizon is not None or args.seed is not None \
-            or args.policy is not None:
-        config = SimConfig(
-            graph=config.graph,
-            policy=PolicyKind.parse(args.policy) if args.policy
-            else config.policy,
-            starts=config.starts,
-            horizon=args.horizon if args.horizon is not None
-            else config.horizon,
-            tiebreak=config.tiebreak,
-            seed=args.seed if args.seed is not None else config.seed,
-            arrivals=config.arrivals)
-    trace = run(config)
+    # invalid overrides, an isolated start vertex and a script that runs
+    # out or points outside a tied set are input errors, not failures
+    try:
+        if args.horizon is not None or args.seed is not None \
+                or args.policy is not None:
+            config = SimConfig(
+                graph=config.graph,
+                policy=PolicyKind.parse(args.policy) if args.policy
+                else config.policy,
+                starts=config.starts,
+                horizon=args.horizon if args.horizon is not None
+                else config.horizon,
+                tiebreak=config.tiebreak,
+                seed=args.seed if args.seed is not None else config.seed,
+                arrivals=config.arrivals)
+        trace = run(config)
+    except ValueError as exc:
+        raise CliError(f"simulate: {exc}") from exc
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -3,17 +3,11 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
-from .graph import EdgeState, Graph, VertexState, make_local_view
-from .policies import PolicyKind, TieBreakSpec, decide
-
-
-@dataclass
-class Robot:
-    id: int
-    position: int
+from .graph import Graph
+from .policies import (IsolatedVertexError, PolicyKind, TieBreakSpec,
+                       decision_keys, tied_entries)
 
 
 @dataclass(frozen=True)
@@ -52,8 +46,8 @@ class Trace:
     config: SimConfig
     events: tuple[Event, ...]
     marks: tuple[Mark, ...]
-    vertex_states: tuple[VertexState, ...]
-    edge_states: tuple[EdgeState, ...]
+    vertex_visit_counts: tuple[int, ...]
+    edge_traversal_counts: tuple[int, ...]
 
     @property
     def graph(self) -> Graph:
@@ -78,36 +72,41 @@ class Trace:
             "m": self.graph.m,
             "robots": len(self.config.starts) + len(self.config.arrivals),
             "events": len(self.events),
-            "vertex_visit_counts": [s.visit_count for s in self.vertex_states],
-            "edge_traversal_counts": [s.traversal_count
-                                      for s in self.edge_states],
+            "vertex_visit_counts": list(self.vertex_visit_counts),
+            "edge_traversal_counts": list(self.edge_traversal_counts),
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 class SimState:
-    """Mutable state of one run.  Owned by the engine; policies only ever
-    see the LocalView slices handed to them."""
+    """Mutable state of one run, as flat lists indexed by vertex or edge
+    id: ``vlast``/``elast`` hold the last visit/traversal round (-1 for
+    never) and ``vcnt``/``ecnt`` the counts.  ``robots[i]`` is the position
+    of robot ``i``."""
 
     def __init__(self, config: SimConfig):
         self.config = config
-        self.graph = config.graph
+        self.graph = g = config.graph
         self.round = 0
-        self.vertex_states = [VertexState() for _ in range(self.graph.n)]
-        self.edge_states = [EdgeState() for _ in range(self.graph.m)]
-        self.robots: list[Robot] = []
+        self.vlast = [-1] * g.n
+        self.vcnt = [0] * g.n
+        self.elast = [-1] * g.m
+        self.ecnt = [0] * g.m
+        self.robots: list[int] = []
         self.events: list[Event] = []
         self.marks: list[Mark] = []
         self.tiebreak = config.tiebreak.make(default_seed=config.seed)
+        self.keys, self.slot = decision_keys(
+            config.policy, g.n, self.vlast, self.vcnt, self.elast, self.ecnt)
         self._pending = sorted(
             ((r, i, v) for i, (r, v) in enumerate(config.arrivals)),
             key=lambda t: (t[0], t[1]))
 
     def _add_robot(self, vertex: int, round_: int) -> None:
-        robot = Robot(id=len(self.robots), position=vertex)
-        self.robots.append(robot)
-        self.vertex_states[vertex].mark(round_)
-        self.marks.append((round_, robot.id, vertex))
+        self.marks.append((round_, len(self.robots), vertex))
+        self.robots.append(vertex)
+        self.vlast[vertex] = round_
+        self.vcnt[vertex] += 1
 
     def _activate_arrivals(self) -> None:
         while self._pending and self._pending[0][0] <= self.round:
@@ -130,20 +129,32 @@ def step(state: SimState) -> SimState:
     Robots act in ascending id order and read live state, so a later robot
     sees the visits committed by earlier robots in the same round.  Robots
     arriving this round are placed (their start vertex marked) before
-    anyone moves, then move like everyone else.
+    anyone moves, then move like everyone else.  A robot with a single
+    candidate moves without consulting the tie-break, so singleton sets
+    consume no script entry or randomness.
     """
     if state.round >= state.config.horizon:
         raise ValueError("horizon reached")
-    state.round += 1
+    state.round = t = state.round + 1
     state._activate_arrivals()
-    for robot in state.robots:
-        view = make_local_view(state.graph, state.vertex_states,
-                               state.edge_states, robot.position, state.round)
-        to, via = decide(state.config.policy, view, state.tiebreak)
-        state.events.append((state.round, robot.id, robot.position, via, to))
-        robot.position = to
-        state.vertex_states[to].mark(state.round)
-        state.edge_states[via].mark(state.round)
+    adj, keys, slot = state.graph.adj, state.keys, state.slot
+    vlast, vcnt, elast, ecnt = state.vlast, state.vcnt, state.elast, state.ecnt
+    robots, events = state.robots, state.events
+    choose = state.tiebreak.choose
+    for rid, pos in enumerate(robots):
+        tied = tied_entries(adj[pos], keys, slot)
+        if len(tied) == 1:
+            to, via = tied[0]
+        elif tied:
+            to, via = tied[choose(len(tied))]
+        else:
+            raise IsolatedVertexError(f"vertex {pos} has no neighbors")
+        events.append((t, rid, pos, via, to))
+        robots[rid] = to
+        vlast[to] = t
+        vcnt[to] += 1
+        elast[via] = t
+        ecnt[via] += 1
     return state
 
 
@@ -154,5 +165,5 @@ def run(config: SimConfig) -> Trace:
     return Trace(config=config,
                  events=tuple(state.events),
                  marks=tuple(state.marks),
-                 vertex_states=tuple(state.vertex_states),
-                 edge_states=tuple(state.edge_states))
+                 vertex_visit_counts=tuple(state.vcnt),
+                 edge_traversal_counts=tuple(state.ecnt))

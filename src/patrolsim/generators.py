@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .graph import Graph, load_graph, save_graph  # re-export  # noqa: F401
+from .graph import Graph
 from .triangulation import Triangulation
 
 FAMILIES = ("path", "cycle", "four_cycle_chain", "diamond_gadget_chain",

@@ -1,8 +1,7 @@
-"""Undirected simple graphs with dense ids and per-element patrol state."""
+"""Undirected simple graphs with dense ids, and their text format."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 
@@ -154,50 +153,6 @@ def diameter(g: Graph) -> int:
                     f"vertex {v} unreachable from {s}")
         best = max(best, max(dist))
     return best
-
-
-@dataclass
-class VertexState:
-    last_visit: int | None = None
-    visit_count: int = 0
-
-    def mark(self, round_: int) -> None:
-        if self.last_visit is not None and round_ < self.last_visit:
-            raise ValueError("last_visit may never decrease")
-        self.last_visit = round_
-        self.visit_count += 1
-
-
-@dataclass
-class EdgeState:
-    last_traversal: int | None = None
-    traversal_count: int = 0
-
-    def mark(self, round_: int) -> None:
-        if self.last_traversal is not None and round_ < self.last_traversal:
-            raise ValueError("last_traversal may never decrease")
-        self.last_traversal = round_
-        self.traversal_count += 1
-
-
-@dataclass(frozen=True)
-class LocalView:
-    """Everything a policy is allowed to read: the current vertex, its
-    neighbors, the incident edges, and the round counter.  Nothing else."""
-
-    round: int
-    current: int
-    current_state: VertexState
-    neighbors: tuple[tuple[int, VertexState, int, EdgeState], ...]
-
-
-def make_local_view(g: Graph, vstates: Sequence[VertexState],
-                    estates: Sequence[EdgeState], v: int,
-                    round_: int) -> LocalView:
-    entries = tuple((w, vstates[w], eid, estates[eid])
-                    for w, eid in g.neighbors(v))
-    return LocalView(round=round_, current=v, current_state=vstates[v],
-                     neighbors=entries)
 
 
 # --- text format -------------------------------------------------------

@@ -91,9 +91,7 @@ def refresh_series(trace: Trace) -> RefreshSeries:
 
 def frequency_histogram(trace: Trace) -> tuple[list[int], list[int]]:
     """Final per-vertex visit counts and per-edge traversal counts."""
-    vcounts = [s.visit_count for s in trace.vertex_states]
-    ecounts = [s.traversal_count for s in trace.edge_states]
-    return vcounts, ecounts
+    return list(trace.vertex_visit_counts), list(trace.edge_traversal_counts)
 
 
 def metrics_csv(trace: Trace) -> str:

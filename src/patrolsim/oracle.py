@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .engine import SimConfig
 from .graph import Graph
-from .policies import PolicyKind
+from .policies import PolicyKind, decision_keys, tied_entries
 
 
 @dataclass(frozen=True)
@@ -31,81 +31,75 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
     schedules, with the lexicographically smallest witness among maxima
     (choices are only recorded for genuinely tied sets, matching the
     engine's script consumption).  If the node budget is exhausted the
-    result is flagged as a lower bound.
+    result is flagged as a lower bound.  The tied sets come from the
+    engine's decision kernel; the walk keeps an explicit stack, so its
+    depth (the horizon) is not bounded by Python's recursion limit.
     """
     if not (0 <= start < g.n):
         raise ValueError(f"start vertex {start} out of range")
-    adj = g.adj
-    vlast = [-1] * g.n
-    vcount = [0] * g.n
-    elast = [-1] * g.m
-    ecount = [0] * g.m
-    vlast[start] = 0
-    vcount[start] = 1
-
-    is_edge_policy = policy in (PolicyKind.LRV_E, PolicyKind.LFV_E)
-    choices: list[int] = []
-    state = {"nodes": 0, "complete": True,
-             "best_peak": -1, "best_witness": ()}
-
-    def tied_at(pos: int) -> list[tuple[int, int]]:
-        entries = adj[pos]
-        if policy is PolicyKind.RANDOM:
-            return list(entries)
-        if policy is PolicyKind.LRV_V:
-            keys = [vlast[w] for w, _ in entries]
-        elif policy is PolicyKind.LFV_V:
-            keys = [vcount[w] for w, _ in entries]
-        elif policy is PolicyKind.LRV_E:
-            keys = [elast[e] for _, e in entries]
-        else:
-            keys = [ecount[e] for _, e in entries]
-        best = min(keys)
-        tied = [we for we, k in zip(entries, keys) if k == best]
-        if is_edge_policy:
-            tied.sort(key=lambda we: we[1])
-        return tied
-
-    def dfs(pos: int, t: int, peak: int) -> None:
-        state["nodes"] += 1
-        if state["nodes"] > node_budget:
-            state["complete"] = False
-            return
-        if t > horizon:
-            trailing = max(horizon - (lv if lv >= 0 else 0) for lv in vlast)
-            total = max(peak, trailing)
-            if total > state["best_peak"]:
-                state["best_peak"] = total
-                state["best_witness"] = tuple(choices)
-            return
-        tied = tied_at(pos)
-        multi = len(tied) > 1
-        for idx, (w, eid) in enumerate(tied):
-            gap = t - (vlast[w] if vlast[w] >= 0 else 0)
-            saved_v, saved_e = vlast[w], elast[eid]
-            vlast[w] = t
-            vcount[w] += 1
-            elast[eid] = t
-            ecount[eid] += 1
-            if multi:
-                choices.append(idx)
-            dfs(w, t + 1, gap if gap > peak else peak)
-            if multi:
-                choices.pop()
-            vlast[w], elast[eid] = saved_v, saved_e
-            vcount[w] -= 1
-            ecount[eid] -= 1
-            if not state["complete"]:
-                return
-
     if g.degree(start) == 0 and horizon > 0:
         raise ValueError(f"start vertex {start} is isolated")
-    dfs(start, 1, 0)
+    vlast, vcnt = [-1] * g.n, [0] * g.n
+    elast, ecnt = [-1] * g.m, [0] * g.m
+    vlast[start] = 0
+    vcnt[start] = 1
+    adj = g.adj
+    keys, slot = decision_keys(policy, g.n, vlast, vcnt, elast, ecnt)
+
+    choices: list[int] = []
+    best_peak, best_witness = -1, ()
+    nodes = 0
+    complete = True
+    # One frame per internal node on the current path:
+    # [tied set, index of the next child, node time, node peak,
+    #  vlast and elast of the child being explored, as they were before it].
+    stack: list[list] = []
+    pos, t, peak = start, 1, 0
+    while True:
+        # visit the node (pos, t, peak)
+        nodes += 1
+        if nodes > node_budget:
+            complete = False
+            break
+        if t > horizon:
+            trailing = horizon - max(min(vlast), 0)
+            total = peak if peak > trailing else trailing
+            if total > best_peak:
+                best_peak, best_witness = total, tuple(choices)
+        else:
+            stack.append([tied_entries(adj[pos], keys, slot), 0, t, peak,
+                          0, 0])
+        # undo finished children, then descend into the next one
+        while stack:
+            frame = stack[-1]
+            tied, idx, t, peak = frame[0], frame[1], frame[2], frame[3]
+            multi = len(tied) > 1
+            if idx:
+                w, eid = tied[idx - 1]
+                vlast[w], elast[eid] = frame[4], frame[5]
+                vcnt[w] -= 1
+                ecnt[eid] -= 1
+                if multi:
+                    choices.pop()
+            if idx < len(tied):
+                break
+            stack.pop()
+        else:
+            break
+        frame[1] = idx + 1
+        pos, eid = tied[idx]
+        gap = t - (vlast[pos] if vlast[pos] >= 0 else 0)
+        frame[4], frame[5] = vlast[pos], elast[eid]
+        vlast[pos] = t
+        vcnt[pos] += 1
+        elast[eid] = t
+        ecnt[eid] += 1
+        if multi:
+            choices.append(idx)
+        t, peak = t + 1, (gap if gap > peak else peak)
     return WorstCaseResult(policy=policy, start=start, horizon=horizon,
-                           peak=state["best_peak"],
-                           witness=state["best_witness"],
-                           complete=state["complete"],
-                           nodes_explored=state["nodes"])
+                           peak=best_peak, witness=best_witness,
+                           complete=complete, nodes_explored=nodes)
 
 
 HAMILTONIAN_MAX_N = 24

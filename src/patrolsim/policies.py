@@ -1,12 +1,11 @@
-"""Local patrolling policies: pure decision functions over a LocalView."""
+"""Local patrolling policies: the decision kernel over flat per-element
+state lists, and the tie-break resolvers."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from enum import Enum
-
-from .graph import LocalView
 
 
 class PolicyKind(Enum):
@@ -99,50 +98,52 @@ class Scripted:
         return idx
 
 
-def tied_candidates(policy: PolicyKind, view: LocalView) -> list[tuple[int, int]]:
-    """The (vertex, edge) pairs minimizing the policy's criterion.
+# Exceeds every key: rounds and counts are small non-negative ints, -1 is
+# "never".
+_NO_KEY = 1 << 62
 
-    Vertex policies order ties by ascending neighbor id, edge policies by
-    ascending edge id.  An element never visited/traversed precedes every
-    visited one for the LRV policies; for LFV a zero count is simply the
-    minimum.
+
+def decision_keys(policy: PolicyKind, n: int, vlast: list[int],
+                  vcnt: list[int], elast: list[int], ecnt: list[int]):
+    """``(keys, slot)`` for ``tied_entries``: the policy minimizes
+    ``keys[entry[slot]]`` over the adjacency entries ``(neighbor, edge)``
+    of the current vertex.
+
+    ``vlast``/``elast`` hold the last visit/traversal round (-1 for never,
+    which precedes every round) and ``vcnt``/``ecnt`` the counts; the key
+    list returned is one of them, so it tracks the live state.  RANDOM
+    minimizes a constant over the ``n`` vertices: every entry ties.
+
+    Vertex rules break ties by neighbor id and edge rules by edge id.  A
+    ``Graph``'s adjacency lists ascend in both at once: edges are numbered
+    in lexicographic order of ``(min, max)``, so at vertex x the edges to
+    smaller neighbors (u, x) come first, ordered by u, then those to larger
+    neighbors (x, v), ordered by v.  One adjacency serves every policy.
     """
-    if not view.neighbors:
-        raise IsolatedVertexError(f"vertex {view.current} has no neighbors")
-
-    if policy is PolicyKind.RANDOM:
-        return [(w, eid) for w, _, eid, _ in view.neighbors]
-
     if policy is PolicyKind.LRV_V:
-        def key(entry):  # absent last_visit precedes all rounds
-            return -1 if entry[1].last_visit is None else entry[1].last_visit
-    elif policy is PolicyKind.LFV_V:
-        def key(entry):
-            return entry[1].visit_count
-    elif policy is PolicyKind.LRV_E:
-        def key(entry):
-            return -1 if entry[3].last_traversal is None else entry[3].last_traversal
-    elif policy is PolicyKind.LFV_E:
-        def key(entry):
-            return entry[3].traversal_count
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled policy {policy}")
+        return vlast, 0
+    if policy is PolicyKind.LFV_V:
+        return vcnt, 0
+    if policy is PolicyKind.LRV_E:
+        return elast, 1
+    if policy is PolicyKind.LFV_E:
+        return ecnt, 1
+    if policy is PolicyKind.RANDOM:
+        return [0] * n, 0
+    raise ValueError(f"unhandled policy {policy}")  # pragma: no cover
 
-    best = min(key(e) for e in view.neighbors)
-    tied = [(w, eid) for (w, _, eid, _), k
-            in ((e, key(e)) for e in view.neighbors) if k == best]
-    if policy in (PolicyKind.LRV_E, PolicyKind.LFV_E):
-        tied.sort(key=lambda we: we[1])
+
+def tied_entries(entries, keys: list[int], slot: int) -> list:
+    """The entries minimizing ``keys[entry[slot]]``, in their given order;
+    empty for no entries.  One pass, so it runs once per robot move and
+    once per search node."""
+    best = _NO_KEY
+    tied = []
+    for entry in entries:
+        k = keys[entry[slot]]
+        if k < best:
+            best = k
+            tied = [entry]
+        elif k == best:
+            tied.append(entry)
     return tied
-
-
-def decide(policy: PolicyKind, view: LocalView, tiebreak) -> tuple[int, int]:
-    """Pick the next vertex and the edge to traverse, reading only the view."""
-    tied = tied_candidates(policy, view)
-    idx = tiebreak.choose(len(tied)) if len(tied) > 1 else _take_first(tiebreak)
-    return tied[idx]
-
-
-def _take_first(tiebreak) -> int:
-    # singleton candidate sets do not consume script entries or randomness
-    return 0

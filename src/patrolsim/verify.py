@@ -84,9 +84,9 @@ def criterion_frequency_bound() -> CheckResult:
                             horizon=10 * g.n * d,
                             tiebreak=TieBreakSpec.seeded_random(seed))
             state = init(cfg)
+            counts = state.vcnt
             for _ in range(cfg.horizon):
                 step(state)
-                counts = [v.visit_count for v in state.vertex_states]
                 if min(counts) > 0:
                     break
                 checked += 1
@@ -261,13 +261,13 @@ def criterion_flower_ratio() -> CheckResult:
     cfg = SimConfig(graph=g, policy=PolicyKind.LFV_V, starts=(0,),
                     horizon=4000)
     state = init(cfg)
+    counts = state.vcnt
     best = 0.0
     for _ in range(cfg.horizon):
         step(state)
-        med = statistics.median(state.vertex_states[v].visit_count
-                                for v in stairs)
+        med = statistics.median(counts[v] for v in stairs)
         if med > 0:
-            best = max(best, state.vertex_states[0].visit_count / med)
+            best = max(best, counts[0] / med)
     passed = best >= 1.5
     return CheckResult("flower-ratio", passed,
                        f"best start/median-staircase ratio {best:.2f} "
@@ -343,10 +343,8 @@ def criterion_differential(cases: int = 500) -> CheckResult:
         tr = run(cfg)
         ref = reference_run(cfg)
         if (tr.events != ref.events or tr.marks != ref.marks
-                or tuple(s.visit_count for s in tr.vertex_states)
-                != ref.vertex_visit_counts
-                or tuple(s.traversal_count for s in tr.edge_states)
-                != ref.edge_traversal_counts):
+                or tr.vertex_visit_counts != ref.vertex_visit_counts
+                or tr.edge_traversal_counts != ref.edge_traversal_counts):
             return CheckResult("differential", False,
                                f"case {case}: engine and reference diverge "
                                f"(n={g.n}, policy={pol.value}, "
@@ -384,7 +382,7 @@ def suite_invariants() -> list[CheckResult]:
                                "identical traces on repeated runs"
                                if det else "traces diverged"))
 
-    total = sum(s.visit_count for s in t1.vertex_states)
+    total = sum(t1.vertex_visit_counts)
     conserved = total == len(t1.events) + len(t1.marks)
     results.append(CheckResult("visit-conservation", conserved,
                                f"{total} visits = {len(t1.marks)} markings "

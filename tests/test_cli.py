@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from patrolsim.cli import main
 from patrolsim.graph import load_graph
@@ -71,6 +74,103 @@ def test_simulate_byte_determinism(tmp_path):
         dirs.append(out_dir)
     for fname in ("events.csv", "metrics.csv", "summary.json"):
         assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes()
+
+
+# sha256 of simulate's three outputs for one small scenario per policy,
+# recorded before the engine moved to flat state lists; any change to the
+# traces, the metrics or the summary shows here
+GOLDEN_OUTPUTS = {
+    ("lrv-v", "lowest_id"): {
+        "events.csv":
+            "8e12129e4358f17f762bd86ea07edf482e980eabcb4c6be57bdb6fd4928e7439",
+        "metrics.csv":
+            "aeebb02bd916ac3fc18c258c34ee8429069d473f6303240236406d95305ffb21",
+        "summary.json":
+            "f01837a40fcb6ccc5259dc29dfca3be9f42be9cd04c30d529b7cb90115905ed5",
+    },
+    ("lrv-e", "seeded_random"): {
+        "events.csv":
+            "f9331ad55cdccb1e0e7bdfabbc1480b1e7fc6c832a0444008deab24bad349e1c",
+        "metrics.csv":
+            "0ae15f363a727b265c6fa4e80f9734436f0f63d491b80b6438b17b26e3611e85",
+        "summary.json":
+            "1331e09ea3ef937b50f5de9740d2e2a47ff09ef485171e9267f294314b5af408",
+    },
+    ("lfv-v", "seeded_random"): {
+        "events.csv":
+            "d478207ae85ad8141432275ee2e72a0544f296963ce87209dc40b0e91463e666",
+        "metrics.csv":
+            "4a7dea71cbcd7a8ad5132d76757624c29444622d2c8b99230833d702241ea3b9",
+        "summary.json":
+            "708477ba6542208edf407397a9e83c81032f81e5adde59c1ea057297765ceae3",
+    },
+    ("lfv-e", "lowest_id"): {
+        "events.csv":
+            "3caa62fa6f0e4b89c4553fc01840af4b2a7737957a9eb6c5bcc8de4162966fc9",
+        "metrics.csv":
+            "da7a08cba3a4d5c54585b95c51af0403b71679b8a8943d913a0034f22be87cca",
+        "summary.json":
+            "9f6db8580dd955dde644f40b85a37a380ff2ce0a2cb696258221828e86f611b7",
+    },
+    ("random", "seeded_random"): {
+        "events.csv":
+            "76248bdab004dcbb48f086354d344c9728761fce49e8d48d75d602810a0e0171",
+        "metrics.csv":
+            "34a684f2eec3652db249f7f239740cc157a1d24f4fdef8a6c5a3285deebafb41",
+        "summary.json":
+            "f00637260f598e1de5070909dc17b46aa791e09993ca9c9e035bdc5c53c8ba24",
+    },
+}
+
+
+@pytest.mark.parametrize("policy,kind", list(GOLDEN_OUTPUTS))
+def test_simulate_outputs_match_golden_hashes(tmp_path, policy, kind):
+    # grid(4,4) dual, two robots from round 0 and one arriving at round 40
+    scenario = {
+        "graph": {"family": "grid_triangulation", "params": {"w": 4, "h": 4}},
+        "policy": policy,
+        "tiebreak": (kind if kind == "lowest_id"
+                     else {"kind": kind, "seed": 7}),
+        "robots": {"starts": [0, 13], "arrivals": [[40, 27]]},
+        "horizon": 500,
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(path),
+                 "--out-dir", str(out_dir)]) == 0
+    for fname, digest in GOLDEN_OUTPUTS[policy, kind].items():
+        assert hashlib.sha256((out_dir / fname).read_bytes()).hexdigest() \
+            == digest, fname
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"robots": {"starts": ["0"]}}, "robots.starts[] must be an integer"),
+    ({"robots": {"starts": [True]}}, "robots.starts[] must be an integer"),
+    ({"robots": {"starts": [0], "arrivals": [[1]]}},
+     "[round, vertex] pairs"),
+    ({"policy": 3}, "policy must be a string"),
+    ({"horizon": "100"}, "horizon must be an integer"),
+    ({"horizon": True}, "horizon must be an integer"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"tiebreak": {"kind": "scripted", "script": []}}, "script exhausted"),
+    ({"graph": {"family": "path", "params": {"n": 1}}}, "has no neighbors"),
+    ({"graph": {"family": "path", "params": {"n": "3"}}},
+     "graph.params.n must be an integer"),
+    ({"tiebreak": {"kind": "scripted", "script": ["1"]}},
+     "tiebreak.script[] must be an integer"),
+    ({"outputs": {"events": 5}}, "outputs.events must be a string"),
+    ({"robots": [0]}, "robots must be an object"),
+], ids=["start-string", "start-bool", "arrival-short", "policy-int",
+        "horizon-string", "horizon-bool", "seed-float", "script-empty",
+        "isolated-start", "param-string", "script-string", "output-int",
+        "robots-list"])
+def test_simulate_bad_scenario_exits_2(tmp_path, capsys, overrides, message):
+    scenario = write_scenario(tmp_path / "s.json", **overrides)
+    assert main(["simulate", "--scenario", str(scenario),
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_simulate_rejects_unknown_keys(tmp_path, capsys):

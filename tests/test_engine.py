@@ -11,7 +11,7 @@ from patrolsim.policies import PolicyKind, TieBreakSpec
 def test_cycle4_lrv_v_counts_and_peaks():
     trace = run(SimConfig(graph=cycle(4), policy=PolicyKind.LRV_V,
                           starts=(0,), horizon=12))
-    counts = [s.visit_count for s in trace.vertex_states]
+    counts = list(trace.vertex_visit_counts)
     assert counts == [4, 3, 3, 3]  # start marking counts as a visit
     assert vertex_peak_refresh(trace) == [4, 4, 4, 4]
 
@@ -20,8 +20,9 @@ def test_start_marked_at_round_zero():
     state = init(SimConfig(graph=path_dual(3), policy=PolicyKind.LRV_V,
                            starts=(1,), horizon=5))
     assert state.marks == [(0, 0, 1)]
-    assert state.vertex_states[1].last_visit == 0
-    assert state.vertex_states[1].visit_count == 1
+    assert state.vlast == [-1, 0, -1]
+    assert state.vcnt == [0, 1, 0]
+    assert state.robots == [1]
 
 
 def test_robots_act_in_id_order_on_live_state():

@@ -68,16 +68,55 @@ def test_hamiltonian_cycle():
         hamiltonian_cycle(grid_triangulation(5, 5).dual)
 
 
-def test_reference_matches_engine_spot_check():
-    cfg = SimConfig(graph=four_cycle_chain(3), policy=PolicyKind.LFV_E,
-                    starts=(0, 7), horizon=150,
-                    tiebreak=TieBreakSpec.seeded_random(5),
-                    arrivals=((10, 3),))
+def assert_engine_matches_reference(cfg):
     trace = run(cfg)
     ref = reference_run(cfg)
     assert trace.events == ref.events
     assert trace.marks == ref.marks
-    assert tuple(s.visit_count
-                 for s in trace.vertex_states) == ref.vertex_visit_counts
-    assert tuple(s.traversal_count
-                 for s in trace.edge_states) == ref.edge_traversal_counts
+    assert trace.vertex_visit_counts == ref.vertex_visit_counts
+    assert trace.edge_traversal_counts == ref.edge_traversal_counts
+
+
+def test_reference_matches_engine_spot_check():
+    assert_engine_matches_reference(SimConfig(
+        graph=four_cycle_chain(3), policy=PolicyKind.LFV_E,
+        starts=(0, 7), horizon=150,
+        tiebreak=TieBreakSpec.seeded_random(5),
+        arrivals=((10, 3),)))
+
+
+# (peak, witness, complete, nodes explored) of the search from the far end
+# of four_cycle_chain(3), horizon 60, 50k-node budget, as the recursive
+# search reported them
+WITNESS_SEARCHES = {
+    PolicyKind.LRV_V: (22, (0, 1, 0, 1, 0), True, 1248),
+    PolicyKind.LRV_E: (24, (1, 1, 0, 1, 0), True, 1633),
+    PolicyKind.LFV_V: (48, (0,) * 19 + (1, 1, 2) + (0,) * 9, False, 50001),
+    PolicyKind.LFV_E: (46, (0,) * 11 + (1, 2, 0, 0, 1, 1, 0, 1, 0), False,
+                       50001),
+}
+
+
+@pytest.mark.parametrize("policy", list(WITNESS_SEARCHES),
+                         ids=lambda p: p.value)
+def test_reference_matches_engine_on_witness(policy):
+    # a scripted tie-break drives the engine through tied sets the
+    # lowest_id and seeded_random cases of criterion 9 never choose from
+    g = four_cycle_chain(3)
+    start = g.n - 1
+    res = exhaustive_tiebreak_search(g, policy, start, 60, node_budget=50_000)
+    assert (res.peak, res.witness, res.complete,
+            res.nodes_explored) == WITNESS_SEARCHES[policy]
+    assert_engine_matches_reference(SimConfig(
+        graph=g, policy=policy, starts=(start,), horizon=60,
+        tiebreak=TieBreakSpec.scripted(res.witness)))
+
+
+def test_search_without_recursion_limit():
+    # the search depth equals the horizon; 3000 is past the default
+    # recursion limit of 1000
+    res = exhaustive_tiebreak_search(cycle(5), PolicyKind.LRV_V, 0, 3000)
+    assert res.complete
+    assert res.peak == 5
+    assert res.witness == (0,)
+    assert res.nodes_explored == 6001

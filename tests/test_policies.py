@@ -1,21 +1,40 @@
 import pytest
 
+from patrolsim.engine import SimConfig, run
 from patrolsim.generators import cycle, path_dual
-from patrolsim.graph import EdgeState, VertexState, make_local_view
+from patrolsim.graph import Graph
 from patrolsim.policies import (IsolatedVertexError, PolicyKind,
                                 ScriptChoiceError, ScriptExhaustedError,
-                                TieBreakSpec, decide, tied_candidates)
+                                TieBreakSpec, decision_keys, tied_entries)
 
 
-def view_on_cycle4(at=0, round_=1, vmarks=(), emarks=()):
-    g = cycle(4)
-    vstates = [VertexState() for _ in range(g.n)]
-    estates = [EdgeState() for _ in range(g.m)]
+def flat_state(g, vmarks=(), emarks=()):
+    """(vlast, vcnt, elast, ecnt) after marking (element, round) pairs."""
+    vlast, vcnt = [-1] * g.n, [0] * g.n
+    elast, ecnt = [-1] * g.m, [0] * g.m
     for v, r in vmarks:
-        vstates[v].mark(r)
+        vlast[v] = r
+        vcnt[v] += 1
     for e, r in emarks:
-        estates[e].mark(r)
-    return make_local_view(g, vstates, estates, at, round_)
+        elast[e] = r
+        ecnt[e] += 1
+    return vlast, vcnt, elast, ecnt
+
+
+def tied_at(g, policy, at, state):
+    keys, slot = decision_keys(policy, g.n, *state)
+    return tied_entries(g.adj[at], keys, slot)
+
+
+def tied_on_cycle4(policy, at=0, vmarks=(), emarks=()):
+    g = cycle(4)
+    return tied_at(g, policy, at, flat_state(g, vmarks, emarks))
+
+
+def first_move(policy, tiebreak, g=None, horizon=1):
+    """The events of a one-robot run from vertex 0 (cycle(4) by default)."""
+    return run(SimConfig(graph=g or cycle(4), policy=policy, starts=(0,),
+                         horizon=horizon, tiebreak=tiebreak)).events
 
 
 def test_policy_parse():
@@ -27,87 +46,86 @@ def test_policy_parse():
 
 def test_lrv_v_prefers_unvisited():
     # from vertex 0 on cycle(4): neighbor 1 visited, neighbor 3 never
-    view = view_on_cycle4(vmarks=[(1, 1)], round_=2)
-    assert tied_candidates(PolicyKind.LRV_V, view) == [(3, 1)]
+    assert tied_on_cycle4(PolicyKind.LRV_V, vmarks=[(1, 1)]) == [(3, 1)]
 
 
 def test_lrv_v_older_visit_wins():
-    view = view_on_cycle4(vmarks=[(1, 1), (3, 2)], round_=3)
-    assert tied_candidates(PolicyKind.LRV_V, view) == [(1, 0)]
+    assert tied_on_cycle4(PolicyKind.LRV_V,
+                          vmarks=[(1, 1), (3, 2)]) == [(1, 0)]
 
 
 def test_lfv_v_minimum_count():
-    view = view_on_cycle4(vmarks=[(1, 1), (1, 2), (3, 2)], round_=3)
-    assert tied_candidates(PolicyKind.LFV_V, view) == [(3, 1)]
+    assert tied_on_cycle4(PolicyKind.LFV_V,
+                          vmarks=[(1, 1), (1, 2), (3, 2)]) == [(3, 1)]
 
 
 def test_edge_policies_order_ties_by_edge_id():
     # vertex 2 on cycle(4) has edges e2 (to 1) and e3 (to 3), both fresh
-    view = view_on_cycle4(at=2)
-    assert tied_candidates(PolicyKind.LRV_E, view) == [(1, 2), (3, 3)]
-    assert tied_candidates(PolicyKind.LFV_E, view) == [(1, 2), (3, 3)]
+    assert tied_on_cycle4(PolicyKind.LRV_E, at=2) == [(1, 2), (3, 3)]
+    assert tied_on_cycle4(PolicyKind.LFV_E, at=2) == [(1, 2), (3, 3)]
 
 
 def test_lrv_e_prefers_untraversed():
-    view = view_on_cycle4(at=2, emarks=[(2, 1)], round_=2)
-    assert tied_candidates(PolicyKind.LRV_E, view) == [(3, 3)]
+    assert tied_on_cycle4(PolicyKind.LRV_E, at=2,
+                          emarks=[(2, 1)]) == [(3, 3)]
 
 
 def test_random_policy_ties_everything():
-    view = view_on_cycle4(vmarks=[(1, 1)], round_=2)
-    assert tied_candidates(PolicyKind.RANDOM, view) == [(1, 0), (3, 1)]
+    assert tied_on_cycle4(PolicyKind.RANDOM,
+                          vmarks=[(1, 1)]) == [(1, 0), (3, 1)]
 
 
 def test_isolated_vertex():
-    from patrolsim.graph import Graph
     g = Graph(2, [], )
-    view = make_local_view(g, [VertexState(), VertexState()], [], 0, 1)
+    assert tied_at(g, PolicyKind.LRV_V, 0, flat_state(g)) == []
     with pytest.raises(IsolatedVertexError):
-        tied_candidates(PolicyKind.LRV_V, view)
+        run(SimConfig(graph=g, policy=PolicyKind.LRV_V, starts=(0,),
+                      horizon=1))
 
 
 def test_decide_lowest_id():
-    view = view_on_cycle4()
-    tb = TieBreakSpec.lowest_id().make()
-    assert decide(PolicyKind.LRV_V, view, tb) == (1, 0)
+    assert first_move(PolicyKind.LRV_V,
+                      TieBreakSpec.lowest_id()) == ((1, 0, 0, 0, 1),)
 
 
 def test_decide_seeded_reproducible():
-    view = view_on_cycle4()
-    picks_a = [decide(PolicyKind.RANDOM, view,
-                      TieBreakSpec.seeded_random(7).make())
+    picks_a = [first_move(PolicyKind.RANDOM, TieBreakSpec.seeded_random(7))
                for _ in range(10)]
-    picks_b = [decide(PolicyKind.RANDOM, view,
-                      TieBreakSpec.seeded_random(7).make())
+    picks_b = [first_move(PolicyKind.RANDOM, TieBreakSpec.seeded_random(7))
                for _ in range(10)]
     assert picks_a == picks_b
 
 
 def test_scripted_consumption_and_errors():
-    view = view_on_cycle4()  # two-way tie
-    tb = TieBreakSpec.scripted([1]).make()
-    assert decide(PolicyKind.LRV_V, view, tb) == (3, 1)
+    # the first move from vertex 0 on cycle(4) is a two-way tie
+    assert first_move(PolicyKind.LRV_V,
+                      TieBreakSpec.scripted([1])) == ((1, 0, 0, 1, 3),)
+    # under RANDOM every move is a tie, so the second one finds no entry
     with pytest.raises(ScriptExhaustedError):
-        decide(PolicyKind.LRV_V, view, tb)
+        first_move(PolicyKind.RANDOM, TieBreakSpec.scripted([1]), horizon=2)
     with pytest.raises(ScriptChoiceError):
-        decide(PolicyKind.LRV_V, view, TieBreakSpec.scripted([5]).make())
+        first_move(PolicyKind.LRV_V, TieBreakSpec.scripted([5]))
+    tb = TieBreakSpec.scripted([1]).make()
+    assert tb.choose(2) == 1
+    with pytest.raises(ScriptExhaustedError):
+        tb.choose(2)
 
 
 def test_singleton_tie_does_not_consume_script():
     # forced move: path end vertex has exactly one neighbor
-    g = path_dual(3)
-    vstates = [VertexState() for _ in range(3)]
-    estates = [EdgeState() for _ in range(2)]
-    view = make_local_view(g, vstates, estates, 0, 1)
-    tb = TieBreakSpec.scripted([]).make()  # would raise if consulted
-    assert decide(PolicyKind.LRV_V, view, tb) == (1, 0)
+    events = first_move(PolicyKind.LRV_V, TieBreakSpec.scripted([]),
+                        g=path_dual(3))  # would raise if consulted
+    assert events == ((1, 0, 0, 0, 1),)
 
 
 def test_decide_is_pure():
-    view = view_on_cycle4(vmarks=[(1, 1)], round_=2)
-    before = view.neighbors
-    decide(PolicyKind.LFV_V, view, TieBreakSpec.lowest_id().make())
-    assert view.neighbors == before
+    g = cycle(4)
+    state = flat_state(g, vmarks=[(1, 1)])
+    before = [list(keys) for keys in state]
+    entries = g.adj[0]
+    tied_at(g, PolicyKind.LFV_V, 0, state)
+    assert [list(keys) for keys in state] == before
+    assert g.adj[0] is entries and entries == ((1, 0), (3, 1))
 
 
 def test_tiebreak_spec_unknown_kind():

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patrolsim.engine import SimConfig, run
-from patrolsim.graph import (EdgeState, Graph, VertexState, dumps_graph,
-                             make_local_view, parse_graph)
-from patrolsim.policies import PolicyKind, TieBreakSpec, tied_candidates
+from patrolsim.graph import Graph, dumps_graph, parse_graph
+from patrolsim.policies import (PolicyKind, TieBreakSpec, decision_keys,
+                                tied_entries)
 
 ALL_POLICIES = tuple(PolicyKind)
 
@@ -48,6 +48,17 @@ def test_adjacency_symmetry(seed):
             assert (u, eid) in g.neighbors(v)
 
 
+@given(st.integers(0, 10**9))
+@settings(max_examples=60, deadline=None)
+def test_adjacency_ascends_by_neighbor_and_edge(seed):
+    # the decision kernel reads one adjacency for vertex and edge rules
+    g = random_connected_graph(seed)
+    for u in range(g.n):
+        entries = list(g.neighbors(u))
+        assert entries == sorted(entries)
+        assert entries == sorted(entries, key=lambda we: we[1])
+
+
 @given(st.integers(0, 10**9), st.integers(0, 4), st.integers(1, 40))
 @settings(max_examples=40, deadline=None)
 def test_run_deterministic_and_visit_conserving(seed, pol_idx, horizon):
@@ -59,7 +70,7 @@ def test_run_deterministic_and_visit_conserving(seed, pol_idx, horizon):
                     tiebreak=TieBreakSpec.seeded_random(seed % 97))
     a, b = run(cfg), run(cfg)
     assert a.events == b.events and a.marks == b.marks
-    total = sum(s.visit_count for s in a.vertex_states)
+    total = sum(a.vertex_visit_counts)
     assert total == len(a.events) + len(a.marks)
     assert len(a.events) == horizon * len(starts)
     # every move follows an actual edge
@@ -67,31 +78,52 @@ def test_run_deterministic_and_visit_conserving(seed, pol_idx, horizon):
         assert g.edges[eid] == (min(u, v), max(u, v))
 
 
+class FlatView:
+    """One robot's decision input: the graph, its vertex ``at`` and the
+    flat state lists (vlast, vcnt, elast, ecnt), -1 meaning never."""
+
+    def __init__(self, g):
+        self.g, self.at = g, 0
+        self.state = ([-1] * g.n, [0] * g.n, [-1] * g.m, [0] * g.m)
+
+    def visit(self, v, round_):
+        vlast, vcnt, _, _ = self.state
+        assert round_ >= vlast[v]  # visit times never decrease
+        vlast[v] = round_
+        vcnt[v] += 1
+
+    def traverse(self, e, round_):
+        _, _, elast, ecnt = self.state
+        assert round_ >= elast[e]
+        elast[e] = round_
+        ecnt[e] += 1
+
+    def tied(self, policy):
+        keys, slot = decision_keys(policy, self.g.n, *self.state)
+        return tied_entries(self.g.adj[self.at], keys, slot)
+
+
 def _views_with_histories(seed, shift=0, repeat=1):
-    """Two LocalViews over the same random graph whose visit histories
+    """Two flat views over the same random graph whose visit histories
     differ only by a time shift (for LRV) or a count multiplier (for LFV)."""
     g = random_connected_graph(seed)
     rng = random.Random(seed ^ 0x55AA)
-    base_v = [VertexState() for _ in range(g.n)]
-    base_e = [EdgeState() for _ in range(g.m)]
-    mod_v = [VertexState() for _ in range(g.n)]
-    mod_e = [EdgeState() for _ in range(g.m)]
+    base, mod = FlatView(g), FlatView(g)
     t = 1
     for v in range(g.n):
         if rng.random() < 0.7:
-            base_v[v].mark(t)
+            base.visit(v, t)
             for r in range(repeat):
-                mod_v[v].mark(t + shift + r)
+                mod.visit(v, t + shift + r)
             t += 1
     for e in range(g.m):
         if rng.random() < 0.7:
-            base_e[e].mark(t)
+            base.traverse(e, t)
             for r in range(repeat):
-                mod_e[e].mark(t + shift + r)
+                mod.traverse(e, t + shift + r)
             t += 1
-    at = rng.randrange(g.n)
-    return (make_local_view(g, base_v, base_e, at, t + shift + repeat),
-            make_local_view(g, mod_v, mod_e, at, t + shift + repeat))
+    base.at = mod.at = rng.randrange(g.n)
+    return base, mod
 
 
 @given(st.integers(0, 10**9), st.integers(1, 50))
@@ -99,7 +131,7 @@ def _views_with_histories(seed, shift=0, repeat=1):
 def test_lrv_translation_invariance(seed, shift):
     base, shifted = _views_with_histories(seed, shift=shift)
     for pol in (PolicyKind.LRV_V, PolicyKind.LRV_E):
-        assert tied_candidates(pol, base) == tied_candidates(pol, shifted)
+        assert base.tied(pol) == shifted.tied(pol)
 
 
 @given(st.integers(0, 10**9), st.integers(2, 5))
@@ -107,7 +139,7 @@ def test_lrv_translation_invariance(seed, shift):
 def test_lfv_scaling_invariance(seed, factor):
     base, scaled = _views_with_histories(seed, repeat=factor)
     for pol in (PolicyKind.LFV_V, PolicyKind.LFV_E):
-        assert tied_candidates(pol, base) == tied_candidates(pol, scaled)
+        assert base.tied(pol) == scaled.tied(pol)
 
 
 @given(st.integers(0, 10**9))
@@ -115,5 +147,5 @@ def test_lfv_scaling_invariance(seed, factor):
 def test_decide_pure_and_repeatable(seed):
     base, _ = _views_with_histories(seed)
     for pol in ALL_POLICIES:
-        first = tied_candidates(pol, base)
-        assert tied_candidates(pol, base) == first
+        first = base.tied(pol)
+        assert base.tied(pol) == first
