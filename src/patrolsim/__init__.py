@@ -7,11 +7,9 @@ from .generators import (FamilySpec, cycle, diamond_gadget_chain,
                          path_dual)
 from .graph import (DisconnectedGraphError, Graph, GraphError,
                     GraphFormatError, diameter, load_graph, save_graph)
-from .metrics import (GrowthFit, RefreshSeries, baseline_lower_bound,
-                      fit_growth, frequency_histogram, refresh_series,
+from .metrics import (GrowthFit, RefreshSeries, fit_growth, refresh_series,
                       vertex_peak_refresh)
-from .oracle import (WorstCaseResult, exhaustive_tiebreak_search,
-                     hamiltonian_cycle, reference_run)
+from .oracle import WorstCaseResult, exhaustive_tiebreak_search, reference_run
 from .ownership import (OwnerMap, OwnershipInfeasible, assign_owners,
                         verify_theorem1, verify_theorem2)
 from .policies import PolicyKind, TieBreakSpec, decision_keys, tied_entries

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import generators, verify
 from .engine import SimConfig, run
 from .graph import GraphFormatError, diameter, load_graph, save_graph
-from .metrics import coverage_time, fit_growth, metrics_csv, vertex_peak_refresh
+from .metrics import fit_growth, metrics_csv, refresh_series
 from .policies import PolicyKind, TieBreakSpec
 from .triangulation import save_triangulation
 
@@ -238,10 +238,11 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / outputs.get("events", "events.csv")).write_text(
         trace.events_csv())
+    series = refresh_series(trace)
     (out_dir / outputs.get("metrics", "metrics.csv")).write_text(
-        metrics_csv(trace))
-    peak = max(vertex_peak_refresh(trace), default=0)
-    ct = coverage_time(trace)
+        metrics_csv(series))
+    peak = max(series.vertex_peak, default=0)
+    ct = series.coverage_time
     summary = json.loads(trace.summary_json())
     summary["peak_refresh"] = peak
     summary["coverage_time"] = ct
@@ -251,11 +252,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",")]
+def _parse_range(text: str, flag: str) -> list[int]:
+    try:
+        if ".." in text:
+            lo, _, hi = text.partition("..")
+            return list(range(int(lo), int(hi) + 1))
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise CliError(f"{flag} expects lo..hi or a,b,c, got {text!r}")
 
 
 def _sweep_one(job) -> tuple:
@@ -265,10 +269,9 @@ def _sweep_one(job) -> tuple:
     cfg = SimConfig(graph=g, policy=PolicyKind.parse(policy), starts=starts,
                     horizon=horizon, tiebreak=TieBreakSpec.seeded_random(seed),
                     seed=seed)
-    trace = run(cfg)
-    peak = max(vertex_peak_refresh(trace), default=0)
-    ct = coverage_time(trace)
-    return (family, params, policy, robots, seed, peak, ct)
+    series = refresh_series(run(cfg))
+    return (family, params, policy, robots, seed,
+            max(series.vertex_peak, default=0), series.coverage_time)
 
 
 def cmd_sweep(args) -> int:
@@ -276,12 +279,12 @@ def cmd_sweep(args) -> int:
     sweep_name, _, sweep_range = args.sweep_param.partition("=")
     if not sweep_range:
         raise CliError("--sweep expects name=lo..hi or name=a,b,c")
-    sweep_values = _parse_range(sweep_range)
+    sweep_values = _parse_range(sweep_range, "--sweep")
     policies = [p for p in args.policies.split(",") if p]
     if not policies:
         raise CliError("empty policy list")
-    robot_counts = _parse_range(args.robots)
-    seeds = _parse_range(args.seeds)
+    robot_counts = _parse_range(args.robots, "--robots")
+    seeds = _parse_range(args.seeds, "--seeds")
     if args.family not in _CLI_FAMILIES:
         raise CliError(f"unknown family {args.family!r}")
     family = _CLI_FAMILIES[args.family]
@@ -292,18 +295,26 @@ def cmd_sweep(args) -> int:
         params[sweep_name] = value
         _family_spec(args.family, params)  # validate early
         for policy in policies:
-            PolicyKind.parse(policy)
+            try:
+                PolicyKind.parse(policy)
+            except ValueError as exc:
+                raise CliError(f"--policies: {exc}") from exc
             for robots in robot_counts:
                 for seed in seeds:
                     jobs.append((family, params, policy, robots, seed,
                                  args.horizon))
 
-    workers = int(os.environ.get("PATROLSIM_WORKERS", "1"))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_one, jobs))
-    else:
-        rows = [_sweep_one(job) for job in jobs]
+    # a robot count below 1, a negative horizon, an isolated start vertex
+    # or a PATROLSIM_WORKERS that is not an integer is an input error
+    try:
+        workers = int(os.environ.get("PATROLSIM_WORKERS", "1"))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(_sweep_one, jobs))
+        else:
+            rows = [_sweep_one(job) for job in jobs]
+    except ValueError as exc:
+        raise CliError(f"sweep: {exc}") from exc
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -6,8 +6,8 @@ import json
 from dataclasses import dataclass
 
 from .graph import Graph
-from .policies import (IsolatedVertexError, PolicyKind, TieBreakSpec,
-                       decision_keys, tied_entries)
+from .policies import (IsolatedVertexError, PolicyKind, ScriptUnusedError,
+                       TieBreakSpec, decision_keys, tied_entries)
 
 
 @dataclass(frozen=True)
@@ -159,9 +159,15 @@ def step(state: SimState) -> SimState:
 
 
 def run(config: SimConfig) -> Trace:
+    """``init`` plus ``horizon`` steps.  A SCRIPTED tie-break must be read
+    to its end: entries left over raise ``ScriptUnusedError``."""
     state = init(config)
     for _ in range(config.horizon):
         step(state)
+    if state.tiebreak.unread:
+        raise ScriptUnusedError(
+            f"{state.tiebreak.unread} script choices left unread at the "
+            "horizon")
     return Trace(config=config,
                  events=tuple(state.events),
                  marks=tuple(state.marks),

@@ -1,21 +1,19 @@
-"""Refresh-time and frequency analytics over traces, plus growth fits."""
+"""Refresh-time analytics over traces, plus growth fits."""
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .engine import Trace
-from .graph import Graph
 
 
 @dataclass(frozen=True)
 class RefreshSeries:
     round_max: tuple[int, ...]        # index t in 0..horizon
+    covered: tuple[int, ...]          # vertices visited by round t
     vertex_peak: tuple[int, ...]      # per-vertex max gap between visits
     coverage_time: int | None         # first round with all vertices visited
 
@@ -29,106 +27,94 @@ class GrowthFit:
     ratio: float | None               # geometric model: value ~ ratio**param
 
 
-def visit_times(trace: Trace) -> list[list[int]]:
-    """Per-vertex sorted list of visit rounds (marks and move arrivals)."""
-    visits: list[list[int]] = [[] for _ in range(trace.graph.n)]
-    for round_, _, vertex in trace.marks:
-        visits[vertex].append(round_)
-    for round_, _, _, _, to in trace.events:
-        visits[to].append(round_)
-    for lst in visits:
-        lst.sort()
-    return visits
+def _visits(trace: Trace):
+    """``(round, vertex)`` for every visit in round order, a round's arrival
+    marks before its moves, then ``(horizon + 1, -1)`` to close the last
+    round."""
+    end = (trace.horizon + 1, -1, -1)
+    marks = iter(trace.marks)
+    mark = next(marks, end)
+    for t, _, _, _, v in trace.events:
+        while mark[0] <= t:
+            yield mark[0], mark[2]
+            mark = next(marks, end)
+        yield t, v
+    while mark is not end:
+        yield mark[0], mark[2]
+        mark = next(marks, end)
+    yield end[0], end[2]
+
+
+def refresh_series(trace: Trace, after: int = 0) -> RefreshSeries:
+    """Every refresh metric of ``trace`` from one pass over its visits.
+
+    ``round_max[t]`` is the age of the stalest vertex after round t, where
+    an unvisited vertex refreshes from round 0, and ``covered[t]`` counts
+    the vertices visited by then.  ``vertex_peak`` is each vertex's longest
+    gap between visits, counting only gaps that end after round ``after``:
+    the first gap runs from round 0 and the trailing one to the horizon,
+    so a vertex never visited has one gap spanning the run.
+
+    ``at[r]`` counts the vertices last visited in round r.  Last visits
+    only grow, so the oldest round with a nonzero count only moves forward
+    and the pass is O(n + horizon + visits).
+    """
+    n, horizon = trace.graph.n, trace.horizon
+    last = [0] * n
+    peak = [0] * n
+    seen = [False] * n
+    at = [0] * (horizon + 1)
+    at[0] = n
+    t = oldest = covered = 0
+    round_max, covered_by = [], []
+    for r, v in _visits(trace):
+        while t < r:  # round t is complete
+            while not at[oldest]:
+                oldest += 1
+            round_max.append(t - oldest)
+            covered_by.append(covered)
+            t += 1
+        if v < 0:
+            break
+        lv = last[v]
+        if r - lv > peak[v] and r > after:
+            peak[v] = r - lv
+        at[lv] -= 1
+        at[r] += 1
+        last[v] = r
+        if not seen[v]:
+            seen[v] = True
+            covered += 1
+    if horizon > after:
+        peak = [max(p, horizon - lv) for p, lv in zip(peak, last)]
+    first = bisect_left(covered_by, n)
+    return RefreshSeries(round_max=tuple(round_max),
+                         covered=tuple(covered_by),
+                         vertex_peak=tuple(peak),
+                         coverage_time=first if first <= horizon else None)
 
 
 def vertex_peak_refresh(trace: Trace, after: int = 0) -> list[int]:
-    """Max refresh gap per vertex, counting only gaps that end after
-    round ``after`` (gaps are measured from round 0 for the first visit and
-    include the trailing gap up to the horizon).  A vertex never visited
-    has one gap spanning the whole run."""
-    horizon = trace.horizon
-    peaks = []
-    for times in visit_times(trace):
-        prev = 0
-        peak = 0
-        for t in times:
-            if t > after:
-                peak = max(peak, t - prev)
-            prev = t
-        if horizon > after:
-            peak = max(peak, horizon - prev)
-        peaks.append(peak)
-    return peaks
+    """``refresh_series(trace, after).vertex_peak`` as a list."""
+    return list(refresh_series(trace, after).vertex_peak)
 
 
 def coverage_time(trace: Trace) -> int | None:
-    times = visit_times(trace)
-    if any(not t for t in times):
-        return None
-    return max(t[0] for t in times)
+    """The first round by which every vertex was visited, else None."""
+    return refresh_series(trace).coverage_time
 
 
-def refresh_series(trace: Trace) -> RefreshSeries:
-    horizon = trace.horizon
-    n = trace.graph.n
-    # visits grouped by round
-    by_round: list[list[int]] = [[] for _ in range(horizon + 1)]
-    for round_, _, vertex in trace.marks:
-        by_round[round_].append(vertex)
-    for round_, _, _, _, to in trace.events:
-        by_round[round_].append(to)
-
-    last = np.zeros(n, dtype=np.int64)  # unvisited vertices refresh from 0
-    round_max = []
-    for t in range(horizon + 1):
-        for v in by_round[t]:
-            last[v] = t
-        round_max.append(int(t - last.min()) if n else 0)
-    return RefreshSeries(round_max=tuple(round_max),
-                         vertex_peak=tuple(vertex_peak_refresh(trace)),
-                         coverage_time=coverage_time(trace))
-
-
-def frequency_histogram(trace: Trace) -> tuple[list[int], list[int]]:
-    """Final per-vertex visit counts and per-edge traversal counts."""
-    return list(trace.vertex_visit_counts), list(trace.edge_traversal_counts)
-
-
-def metrics_csv(trace: Trace) -> str:
+def metrics_csv(series: RefreshSeries) -> str:
     """Per-round series: round, max refresh, fraction of vertices visited."""
-    series = refresh_series(trace)
-    times = visit_times(trace)
-    firsts = sorted(t[0] for t in times if t)
-    n = trace.graph.n
+    n = len(series.vertex_peak)
     lines = ["round,max_refresh,coverage_fraction"]
-    covered = 0
-    idx = 0
-    for t, mr in enumerate(series.round_max):
-        while idx < len(firsts) and firsts[idx] <= t:
-            covered += 1
-            idx += 1
-        frac = covered / n if n else 1.0
-        lines.append(f"{t},{mr},{frac:.6f}")
+    lines.extend(f"{t},{mr},{c / n:.6f}" for t, (mr, c)
+                 in enumerate(zip(series.round_max, series.covered)))
     return "\n".join(lines) + "\n"
 
 
-def baseline_lower_bound(g: Graph, robots: int,
-                         cycle_length: int | None = None) -> Fraction:
-    """|H(G)| / r, the disjoint-patrol-cycles lower bound on max refresh.
-
-    ``cycle_length`` is the Hamiltonian cycle length (normally n, supplied
-    by the brute-force search or the caller).  When no Hamiltonian cycle
-    exists, callers may substitute n as a documented proxy.
-    """
-    if robots < 1:
-        raise ValueError("robots must be >= 1")
-    if cycle_length is None:
-        cycle_length = g.n
-    return Fraction(cycle_length, robots)
-
-
 def fit_growth(points: Sequence[tuple[float, float]], model: str) -> GrowthFit:
-    """Least-squares fit in log space over (param, value) points.
+    """Least-squares line through (x, log value) points.
 
     power:     log value = a + exponent * log param
     geometric: log value = a + log(ratio) * param
@@ -137,14 +123,18 @@ def fit_growth(points: Sequence[tuple[float, float]], model: str) -> GrowthFit:
         raise ValueError(f"unknown model {model!r}")
     if len(points) < 3:
         raise ValueError("need at least 3 points to fit")
-    params = np.array([p for p, _ in points], dtype=float)
-    values = np.array([v for _, v in points], dtype=float)
-    if np.any(values <= 0) or (model == "power" and np.any(params <= 0)):
+    params = tuple(float(p) for p, _ in points)
+    values = tuple(float(v) for _, v in points)
+    if any(v <= 0 for v in values) or (model == "power"
+                                       and any(p <= 0 for p in params)):
         raise ValueError("fit requires positive values")
-    x = np.log(params) if model == "power" else params
-    slope, _ = np.polyfit(x, np.log(values), 1)
-    return GrowthFit(model=model,
-                     params=tuple(params),
-                     values=tuple(values),
-                     exponent=float(slope) if model == "power" else None,
-                     ratio=float(math.exp(slope)) if model == "geometric" else None)
+    xs = [math.log(p) for p in params] if model == "power" else params
+    if min(xs) == max(xs):
+        raise ValueError("fit requires at least two distinct params")
+    ys = [math.log(v) for v in values]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+             / sum((x - mx) ** 2 for x in xs))
+    return GrowthFit(model=model, params=params, values=values,
+                     exponent=slope if model == "power" else None,
+                     ratio=math.exp(slope) if model == "geometric" else None)

@@ -1,5 +1,5 @@
-"""Brute-force verifiers: adversarial tie-break search, Hamiltonian cycle
-enumeration, and a naive reference simulator for differential testing."""
+"""Brute-force verifiers: adversarial tie-break search and a naive
+reference simulator for differential testing."""
 
 from __future__ import annotations
 
@@ -100,40 +100,6 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
     return WorstCaseResult(policy=policy, start=start, horizon=horizon,
                            peak=best_peak, witness=best_witness,
                            complete=complete, nodes_explored=nodes)
-
-
-HAMILTONIAN_MAX_N = 24
-
-
-def hamiltonian_cycle(g: Graph, max_n: int = HAMILTONIAN_MAX_N) -> int | None:
-    """Exact backtracking search; returns n if a Hamiltonian cycle exists,
-    else None.  Instances above ``max_n`` are refused -- use the n/r proxy
-    bound instead of the |H(G)|/r baseline for those."""
-    n = g.n
-    if n > max_n:
-        raise ValueError(
-            f"n={n} exceeds the exact-search cap {max_n}; "
-            "use n as a proxy for the Hamiltonian cycle length")
-    if n < 3:
-        return None
-    if any(g.degree(v) < 2 for v in range(n)):
-        return None
-    used = [False] * n
-    used[0] = True
-    start_neighbors = {w for w, _ in g.neighbors(0)}
-
-    def extend(pos: int, depth: int) -> bool:
-        if depth == n:
-            return pos in start_neighbors
-        for w, _ in g.neighbors(pos):
-            if not used[w]:
-                used[w] = True
-                if extend(w, depth + 1):
-                    return True
-                used[w] = False
-        return False
-
-    return n if extend(0, 1) else None
 
 
 @dataclass(frozen=True)

@@ -70,22 +70,32 @@ def assign_owners(t: Triangulation,
         return all(_owners_connected(t, c, owner[tj])
                    for tj, _ in dual.neighbors(ti) if owner[tj] >= 0)
 
-    def search(ti: int) -> bool:
-        nonlocal nodes
-        if ti == ntri:
-            return True
-        for c in candidates(ti):
-            nodes += 1
-            if nodes > node_budget:
-                return False
-            if feasible(ti, c):
-                owner[ti] = c
-                if search(ti + 1):
-                    return True
-                owner[ti] = -1
-        return False
+    # Depth-first on an explicit stack, one frame per triangle on the
+    # path: [candidate corners, index of the next one].  Past the budget
+    # every frame pops, each with candidates left counting one more node.
+    found = not ntri
+    stack = [[candidates(0), 0]] if ntri else []
+    while stack:
+        frame = stack[-1]
+        ti = len(stack) - 1
+        owner[ti] = -1  # undo the candidate whose subtree failed
+        cands, idx = frame
+        if idx == len(cands):
+            stack.pop()
+            continue
+        frame[1] = idx + 1
+        nodes += 1
+        if nodes > node_budget:
+            stack.pop()
+            continue
+        if feasible(ti, cands[idx]):
+            owner[ti] = cands[idx]
+            if ti + 1 == ntri:
+                found = True
+                break
+            stack.append([candidates(ti + 1), 0])
 
-    if search(0):
+    if found:
         triangle_owner = tuple(owner)
         dual_edge_owners = tuple((owner[ti], owner[tj])
                                  for ti, tj in dual.edges)

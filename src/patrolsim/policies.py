@@ -32,6 +32,10 @@ class ScriptExhaustedError(ValueError):
     """A SCRIPTED tie-break ran out of choice indices."""
 
 
+class ScriptUnusedError(ValueError):
+    """A run ended with SCRIPTED choice indices left unread."""
+
+
 class ScriptChoiceError(ValueError):
     """A SCRIPTED choice index fell outside the tied set."""
 
@@ -69,11 +73,15 @@ class TieBreakSpec:
 
 
 class LowestId:
+    unread = 0
+
     def choose(self, n_tied: int) -> int:
         return 0
 
 
 class SeededRandom:
+    unread = 0
+
     def __init__(self, seed: int):
         self._rng = random.Random(seed)
 
@@ -85,6 +93,11 @@ class Scripted:
     def __init__(self, indices):
         self._indices = list(indices)
         self._cursor = 0
+
+    @property
+    def unread(self) -> int:
+        """Choice indices not consumed yet."""
+        return len(self._indices) - self._cursor
 
     def choose(self, n_tied: int) -> int:
         if self._cursor >= len(self._indices):

@@ -12,8 +12,6 @@ import random
 import statistics
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import generators
 from .engine import SimConfig, init, run, step
 from .graph import Graph, diameter
@@ -189,8 +187,8 @@ def criterion_lrv_worst_case() -> CheckResult:
 
 
 def _steady_mean_max_refresh(trace, start_round: int) -> float:
-    series = refresh_series(trace)
-    return float(np.mean(series.round_max[start_round:]))
+    window = refresh_series(trace).round_max[start_round:]
+    return sum(window) / len(window)
 
 
 def multi_robot_steady_means() -> tuple[int, dict[PolicyKind, dict[int, float]]]:

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import patrolsim
 from patrolsim.cli import main
 from patrolsim.graph import load_graph
 from patrolsim.triangulation import load_triangulation
@@ -196,6 +201,22 @@ def test_simulate_witness_replay(tmp_path, capsys):
     assert f"peak_refresh={res.peak} " in capsys.readouterr().out
 
 
+def test_simulate_witness_with_unread_entry_exits_2(tmp_path, capsys):
+    from patrolsim.generators import four_cycle_chain
+    from patrolsim.oracle import exhaustive_tiebreak_search
+    from patrolsim.policies import PolicyKind
+
+    res = exhaustive_tiebreak_search(four_cycle_chain(2), PolicyKind.LRV_V,
+                                     0, 100)
+    witness = tmp_path / "w.txt"
+    witness.write_text("\n".join(str(i) for i in res.witness + (0,)) + "\n")
+    scenario = write_scenario(tmp_path / "s.json")
+    assert main(["simulate", "--scenario", str(scenario),
+                 "--witness", str(witness),
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    assert "1 script choices left unread" in capsys.readouterr().err
+
+
 def test_sweep(tmp_path, capsys):
     out_dir = tmp_path / "sweep"
     assert main(["sweep", "--family", "path", "--sweep", "n=4..6",
@@ -214,6 +235,25 @@ def test_sweep_bad_range(tmp_path, capsys):
                  "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--policies", "bogus", "unknown policy 'bogus'"),
+    ("--sweep", "n=a..b", "--sweep expects"),
+    ("--robots", "x", "--robots expects"),
+    ("--seeds", "x", "--seeds expects"),
+    ("--robots", "0", "at least one robot"),
+    ("--sweep", "n=1..2", "has no neighbors"),
+], ids=["policy", "sweep-range", "robots", "seeds", "robots-zero",
+        "isolated-start"])
+def test_sweep_bad_input_exits_2(tmp_path, capsys, flag, value, message):
+    args = {"--family": "path", "--sweep": "n=4..5", "--policies": "lrv-v",
+            "--horizon": "10", "--out-dir": str(tmp_path)}
+    args[flag] = value
+    assert main(["sweep", *(tok for pair in args.items()
+                            for tok in pair)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 def test_verify_invariants(capsys):
     assert main(["verify", "invariants"]) == 0
     out = capsys.readouterr().out
@@ -224,3 +264,17 @@ def test_verify_invariants(capsys):
 
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "nonsense"]) == 2
+
+
+def test_verify_invariants_without_numpy():
+    # the package needs nothing outside the standard library
+    src = str(Path(patrolsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; sys.modules['numpy'] = None; "
+            "from patrolsim.cli import main; "
+            "sys.exit(main(['verify', 'invariants']))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS run-determinism" in proc.stdout

@@ -1,23 +1,15 @@
-from fractions import Fraction
-
 import pytest
 
 from patrolsim.engine import SimConfig, run
 from patrolsim.generators import cycle, path_dual
-from patrolsim.metrics import (baseline_lower_bound, coverage_time,
-                               fit_growth, frequency_histogram, metrics_csv,
-                               refresh_series, vertex_peak_refresh,
-                               visit_times)
+from patrolsim.metrics import (coverage_time, fit_growth, metrics_csv,
+                               refresh_series, vertex_peak_refresh)
 from patrolsim.policies import PolicyKind
 
 
 def cycle4_trace(horizon=4):
     return run(SimConfig(graph=cycle(4), policy=PolicyKind.LRV_V,
                          starts=(0,), horizon=horizon))
-
-
-def test_visit_times():
-    assert visit_times(cycle4_trace()) == [[0, 4], [1], [2], [3]]
 
 
 def test_vertex_peak_refresh_hand_checked():
@@ -45,29 +37,16 @@ def test_unvisited_vertex_spans_run():
 def test_refresh_series():
     series = refresh_series(cycle4_trace())
     assert series.round_max == (0, 1, 2, 3, 3)
+    assert series.covered == (1, 2, 3, 4, 4)
     assert series.coverage_time == 3
     assert series.vertex_peak == (4, 3, 2, 3)
 
 
-def test_frequency_histogram():
-    vcounts, ecounts = frequency_histogram(cycle4_trace())
-    assert vcounts == [2, 1, 1, 1]
-    assert sum(ecounts) == 4
-
-
 def test_metrics_csv():
-    lines = metrics_csv(cycle4_trace()).splitlines()
+    lines = metrics_csv(refresh_series(cycle4_trace())).splitlines()
     assert lines[0] == "round,max_refresh,coverage_fraction"
     assert lines[1] == "0,0,0.250000"
     assert lines[4] == "3,3,1.000000"
-
-
-def test_baseline_lower_bound():
-    g = cycle(4)
-    assert baseline_lower_bound(g, 2, cycle_length=4) == Fraction(2)
-    assert baseline_lower_bound(g, 3) == Fraction(4, 3)
-    with pytest.raises(ValueError):
-        baseline_lower_bound(g, 0)
 
 
 def test_fit_growth_power():
@@ -91,3 +70,7 @@ def test_fit_growth_errors():
         fit_growth([(1, 1.0), (2, 0.0), (3, 2.0)], "power")
     with pytest.raises(ValueError):
         fit_growth([(1, 1.0), (2, 2.0), (3, 3.0)], "linear")
+    with pytest.raises(ValueError, match="distinct"):
+        fit_growth([(2, 1.0), (2, 2.0), (2, 3.0)], "power")
+    with pytest.raises(ValueError, match="distinct"):
+        fit_growth([(2, 1.0), (2, 2.0), (2, 3.0)], "geometric")

@@ -1,11 +1,9 @@
 import pytest
 
 from patrolsim.engine import SimConfig, run
-from patrolsim.generators import (cycle, four_cycle_chain, grid_triangulation,
-                                  path_dual)
+from patrolsim.generators import cycle, four_cycle_chain, path_dual
 from patrolsim.metrics import vertex_peak_refresh
-from patrolsim.oracle import (exhaustive_tiebreak_search, hamiltonian_cycle,
-                              reference_run)
+from patrolsim.oracle import exhaustive_tiebreak_search, reference_run
 from patrolsim.policies import PolicyKind, TieBreakSpec
 
 
@@ -56,16 +54,6 @@ def test_budget_exhaustion_is_lower_bound():
 def test_search_input_validation():
     with pytest.raises(ValueError, match="out of range"):
         exhaustive_tiebreak_search(cycle(4), PolicyKind.LRV_V, 9, 10)
-
-
-def test_hamiltonian_cycle():
-    assert hamiltonian_cycle(cycle(6)) == 6
-    assert hamiltonian_cycle(path_dual(5)) is None
-    assert hamiltonian_cycle(four_cycle_chain(2)) is None
-    # grid duals have degree-1 corner triangles, so no Hamiltonian cycle
-    assert hamiltonian_cycle(grid_triangulation(2, 2).dual) is None
-    with pytest.raises(ValueError, match="exceeds"):
-        hamiltonian_cycle(grid_triangulation(5, 5).dual)
 
 
 def assert_engine_matches_reference(cfg):

@@ -42,6 +42,17 @@ def test_dual_edge_ownership_constant_on_grids():
     assert counts == {6}
 
 
+def test_assign_owners_without_recursion_limit():
+    # 1800 triangles, deeper than Python's default recursion limit
+    t = grid_triangulation(30, 30)
+    result = assign_owners(t)
+    assert isinstance(result, OwnerMap)
+    assert verify_theorem1(t, result) == []
+    report = verify_theorem2(t, result)
+    assert report.violations == ()
+    assert report.max_dual_edges_owned == 6
+
+
 def test_theorem2_flags_corrupted_map():
     t = grid_triangulation(2, 2)
     good = assign_owners(t)

@@ -5,7 +5,8 @@ from patrolsim.generators import cycle, path_dual
 from patrolsim.graph import Graph
 from patrolsim.policies import (IsolatedVertexError, PolicyKind,
                                 ScriptChoiceError, ScriptExhaustedError,
-                                TieBreakSpec, decision_keys, tied_entries)
+                                ScriptUnusedError, TieBreakSpec,
+                                decision_keys, tied_entries)
 
 
 def flat_state(g, vmarks=(), emarks=()):
@@ -109,6 +110,13 @@ def test_scripted_consumption_and_errors():
     assert tb.choose(2) == 1
     with pytest.raises(ScriptExhaustedError):
         tb.choose(2)
+
+
+def test_unread_script_entries_rejected():
+    # one tie in one round reads one entry; the second is left over
+    with pytest.raises(ScriptUnusedError, match="1 script choices"):
+        first_move(PolicyKind.LRV_V, TieBreakSpec.scripted([1, 0]))
+    assert TieBreakSpec.scripted([1, 0]).make().unread == 2
 
 
 def test_singleton_tie_does_not_consume_script():

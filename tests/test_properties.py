@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from patrolsim.engine import SimConfig, run
 from patrolsim.graph import Graph, dumps_graph, parse_graph
+from patrolsim.metrics import refresh_series
 from patrolsim.policies import (PolicyKind, TieBreakSpec, decision_keys,
                                 tied_entries)
 
@@ -76,6 +77,52 @@ def test_run_deterministic_and_visit_conserving(seed, pol_idx, horizon):
     # every move follows an actual edge
     for _, _, u, eid, v in a.events:
         assert g.edges[eid] == (min(u, v), max(u, v))
+
+
+def brute_force_refresh(trace, after):
+    """round_max, covered, vertex_peak and coverage_time straight from the
+    definitions, over each vertex's sorted visit rounds."""
+    n, horizon = trace.graph.n, trace.horizon
+    visits = [[] for _ in range(n)]
+    for r, _, v in trace.marks:
+        visits[v].append(r)
+    for r, _, _, _, v in trace.events:
+        visits[v].append(r)
+    round_max, covered = [], []
+    for t in range(horizon + 1):
+        seen = [[r for r in times if r <= t] for times in visits]
+        round_max.append(t - min(max(rs, default=0) for rs in seen))
+        covered.append(sum(1 for rs in seen if rs))
+    peaks = []
+    for times in visits:
+        ends = sorted(times) + [horizon]  # the trailing gap ends at horizon
+        starts = [0] + sorted(times)      # the first gap starts at round 0
+        peaks.append(max((end - start for start, end in zip(starts, ends)
+                          if end > after), default=0))
+    coverage = next((t for t in range(horizon + 1) if covered[t] == n), None)
+    return tuple(round_max), tuple(covered), tuple(peaks), coverage
+
+
+@given(st.integers(0, 10**9), st.integers(0, 4), st.integers(0, 40),
+       st.integers(1, 3), st.booleans(), st.integers(-1, 45))
+@settings(max_examples=80, deadline=None)
+def test_refresh_series_matches_definitions(seed, pol_idx, horizon, robots,
+                                            arrive, after):
+    g = random_connected_graph(seed)
+    rng = random.Random(seed ^ 0x5EED)
+    starts = tuple(rng.randrange(g.n) for _ in range(robots))
+    arrivals = ()
+    if arrive:
+        # a late robot; with no starts it is the only one
+        starts = starts[1:]
+        arrivals = ((rng.randrange(horizon + 1), rng.randrange(g.n)),)
+    trace = run(SimConfig(graph=g, policy=ALL_POLICIES[pol_idx],
+                          starts=starts, horizon=horizon,
+                          tiebreak=TieBreakSpec.seeded_random(seed % 89),
+                          arrivals=arrivals))
+    series = refresh_series(trace, after)
+    assert (series.round_max, series.covered, series.vertex_peak,
+            series.coverage_time) == brute_force_refresh(trace, after)
 
 
 class FlatView:
