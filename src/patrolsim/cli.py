@@ -66,16 +66,21 @@ def _family_spec(family_cli: str, params: dict[str, int]) -> generators.FamilySp
 def cmd_generate(args) -> int:
     spec = _family_spec(args.family, _parse_params(args.params))
     out = Path(args.out)
-    if spec.family == "grid_triangulation":
-        tri = generators.grid_triangulation(**spec.params)
-        save_triangulation(tri, Path(str(out) + ".tri"))
-        g = tri.dual
-        save_graph(g, out)
-        print(f"wrote {out} (dual graph) and {out}.tri (triangulation)")
-    else:
-        g = spec.build()
-        save_graph(g, out)
-        print(f"wrote {out}")
+    # a parameter below the family's minimum (cycle n=2) and an output path
+    # that cannot be written (a missing directory) are input errors
+    try:
+        if spec.family == "grid_triangulation":
+            tri = generators.grid_triangulation(**spec.params)
+            save_triangulation(tri, Path(str(out) + ".tri"))
+            g = tri.dual
+            save_graph(g, out)
+            print(f"wrote {out} (dual graph) and {out}.tri (triangulation)")
+        else:
+            g = spec.build()
+            save_graph(g, out)
+            print(f"wrote {out}")
+    except (ValueError, OSError) as exc:
+        raise CliError(f"generate: {exc}") from exc
     print(f"n={g.n} m={g.m} max_degree={g.max_degree()} "
           f"diameter={diameter(g)}")
     return 0
@@ -235,19 +240,22 @@ def cmd_simulate(args) -> int:
         raise CliError(f"simulate: {exc}") from exc
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / outputs.get("events", "events.csv")).write_text(
-        trace.events_csv())
-    series = refresh_series(trace)
-    (out_dir / outputs.get("metrics", "metrics.csv")).write_text(
-        metrics_csv(series))
-    peak = max(series.vertex_peak, default=0)
-    ct = series.coverage_time
-    summary = json.loads(trace.summary_json())
-    summary["peak_refresh"] = peak
-    summary["coverage_time"] = ct
-    (out_dir / outputs.get("summary", "summary.json")).write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    try:  # an --out-dir naming a file is an input error
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / outputs.get("events", "events.csv")).write_text(
+            trace.events_csv())
+        series = refresh_series(trace)
+        (out_dir / outputs.get("metrics", "metrics.csv")).write_text(
+            metrics_csv(series))
+        peak = max(series.vertex_peak, default=0)
+        ct = series.coverage_time
+        summary = json.loads(trace.summary_json())
+        summary["peak_refresh"] = peak
+        summary["coverage_time"] = ct
+        (out_dir / outputs.get("summary", "summary.json")).write_text(
+            json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    except OSError as exc:
+        raise CliError(f"simulate: {exc}") from exc
     print(f"peak_refresh={peak} coverage_time={ct}")
     return 0
 
@@ -316,13 +324,10 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise CliError(f"sweep: {exc}") from exc
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["family,param,policy,robots,seed,peak_refresh,coverage_time"]
     for family_, params, policy, robots, seed, peak, ct in rows:
         lines.append(f"{family_},{params[sweep_name]},{policy},{robots},"
                      f"{seed},{peak},{'' if ct is None else ct}")
-    (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
 
     fit_lines = []
     for policy in policies:
@@ -340,7 +345,13 @@ def cmd_sweep(args) -> int:
                         else f"ratio={fit.ratio:.3f}")
                 fit_lines.append(f"{policy} robots={robots}: {stat}")
     fit_text = "\n".join(fit_lines)
-    (out_dir / "fits.txt").write_text(fit_text + "\n" if fit_text else "")
+    out_dir = Path(args.out_dir)
+    try:  # an --out-dir naming a file is an input error
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
+        (out_dir / "fits.txt").write_text(fit_text + "\n" if fit_text else "")
+    except OSError as exc:
+        raise CliError(f"sweep: {exc}") from exc
     print(f"wrote {out_dir / 'sweep.csv'} ({len(rows)} runs)")
     if fit_text:
         print(fit_text)

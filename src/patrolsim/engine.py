@@ -123,47 +123,50 @@ def init(config: SimConfig) -> SimState:
     return state
 
 
-def step(state: SimState) -> SimState:
-    """Advance one synchronous round.
+def step(state: SimState, rounds: int = 1) -> SimState:
+    """Advance ``rounds`` synchronous rounds.
 
     Robots act in ascending id order and read live state, so a later robot
     sees the visits committed by earlier robots in the same round.  Robots
-    arriving this round are placed (their start vertex marked) before
+    arriving in a round are placed (their start vertex marked) before
     anyone moves, then move like everyone else.  A robot with a single
     candidate moves without consulting the tie-break, so singleton sets
-    consume no script entry or randomness.
+    consume no script entry or randomness.  ``step(state, k)`` equals
+    ``k`` calls of ``step(state)``; negative ``rounds`` or a step past the
+    horizon raises ``ValueError`` before any round is played.
     """
-    if state.round >= state.config.horizon:
-        raise ValueError("horizon reached")
-    state.round = t = state.round + 1
-    state._activate_arrivals()
+    left = state.config.horizon - state.round
+    if not 0 <= rounds <= left:
+        raise ValueError(f"{rounds} rounds asked, {left} left to the horizon")
     adj, keys, slot = state.graph.adj, state.keys, state.slot
     vlast, vcnt, elast, ecnt = state.vlast, state.vcnt, state.elast, state.ecnt
-    robots, events = state.robots, state.events
+    robots, events, pending = state.robots, state.events, state._pending
     choose = state.tiebreak.choose
-    for rid, pos in enumerate(robots):
-        tied = tied_entries(adj[pos], keys, slot)
-        if len(tied) == 1:
-            to, via = tied[0]
-        elif tied:
-            to, via = tied[choose(len(tied))]
-        else:
-            raise IsolatedVertexError(f"vertex {pos} has no neighbors")
-        events.append((t, rid, pos, via, to))
-        robots[rid] = to
-        vlast[to] = t
-        vcnt[to] += 1
-        elast[via] = t
-        ecnt[via] += 1
+    for t in range(state.round + 1, state.round + rounds + 1):
+        state.round = t
+        if pending and pending[0][0] <= t:
+            state._activate_arrivals()
+        for rid, pos in enumerate(robots):
+            tied = tied_entries(adj[pos], keys, slot)
+            if len(tied) == 1:
+                to, via = tied[0]
+            elif tied:
+                to, via = tied[choose(len(tied))]
+            else:
+                raise IsolatedVertexError(f"vertex {pos} has no neighbors")
+            events.append((t, rid, pos, via, to))
+            robots[rid] = to
+            vlast[to] = t
+            vcnt[to] += 1
+            elast[via] = t
+            ecnt[via] += 1
     return state
 
 
 def run(config: SimConfig) -> Trace:
-    """``init`` plus ``horizon`` steps.  A SCRIPTED tie-break must be read
-    to its end: entries left over raise ``ScriptUnusedError``."""
-    state = init(config)
-    for _ in range(config.horizon):
-        step(state)
+    """``init`` plus a step of ``horizon`` rounds.  A SCRIPTED tie-break
+    must be read to its end: entries left over raise ``ScriptUnusedError``."""
+    state = step(init(config), config.horizon)
     if state.tiebreak.unread:
         raise ScriptUnusedError(
             f"{state.tiebreak.unread} script choices left unread at the "

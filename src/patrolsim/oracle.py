@@ -32,8 +32,9 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
     (choices are only recorded for genuinely tied sets, matching the
     engine's script consumption).  If the node budget is exhausted the
     result is flagged as a lower bound.  The tied sets come from the
-    engine's decision kernel; the walk keeps an explicit stack, so its
-    depth (the horizon) is not bounded by Python's recursion limit.
+    engine's decision kernel.  The walk keeps an explicit stack with a
+    frame only where a choice is open, so its depth (the horizon) is not
+    bounded by Python's recursion limit, and it undoes moves from a log.
     """
     if not (0 <= start < g.n):
         raise ValueError(f"start vertex {start} out of range")
@@ -46,13 +47,15 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
     adj = g.adj
     keys, slot = decision_keys(policy, g.n, vlast, vcnt, elast, ecnt)
 
-    choices: list[int] = []
     best_peak, best_witness = -1, ()
     nodes = 0
     complete = True
-    # One frame per internal node on the current path:
-    # [tied set, index of the next child, node time, node peak,
-    #  vlast and elast of the child being explored, as they were before it].
+    # (vertex, edge, its vlast, its elast) before each move on the path
+    undo: list[tuple[int, int, int, int]] = []
+    # One frame per branch point on the path, a node whose tied set does
+    # not have exactly one entry: [tied set, index of the next child, node
+    # time, node peak, undo log length].  Forced moves get no frame; the
+    # choice taken at a frame is its next index minus one.
     stack: list[list] = []
     pos, t, peak = start, 1, 0
     while True:
@@ -65,37 +68,39 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
             trailing = horizon - max(min(vlast), 0)
             total = peak if peak > trailing else trailing
             if total > best_peak:
-                best_peak, best_witness = total, tuple(choices)
+                best_peak, best_witness = total, tuple(f[1] - 1 for f in stack)
+            tied = ()
         else:
-            stack.append([tied_entries(adj[pos], keys, slot), 0, t, peak,
-                          0, 0])
-        # undo finished children, then descend into the next one
-        while stack:
-            frame = stack[-1]
-            tied, idx, t, peak = frame[0], frame[1], frame[2], frame[3]
-            multi = len(tied) > 1
-            if idx:
-                w, eid = tied[idx - 1]
-                vlast[w], elast[eid] = frame[4], frame[5]
-                vcnt[w] -= 1
-                ecnt[eid] -= 1
-                if multi:
-                    choices.pop()
-            if idx < len(tied):
+            tied = tied_entries(adj[pos], keys, slot)
+        if len(tied) == 1:
+            pos, eid = tied[0]
+        else:
+            if tied:
+                stack.append([tied, 0, t, peak, len(undo)])
+            # backtrack to the deepest frame with a child left
+            while stack:
+                frame = stack[-1]
+                tied, idx, t, peak, mark = frame
+                if idx < len(tied):
+                    break
+                stack.pop()
+            else:
                 break
-            stack.pop()
-        else:
-            break
-        frame[1] = idx + 1
-        pos, eid = tied[idx]
-        gap = t - (vlast[pos] if vlast[pos] >= 0 else 0)
-        frame[4], frame[5] = vlast[pos], elast[eid]
+            while len(undo) > mark:
+                w, e, old_v, old_e = undo.pop()
+                vlast[w], elast[e] = old_v, old_e
+                vcnt[w] -= 1
+                ecnt[e] -= 1
+            frame[1] = idx + 1
+            pos, eid = tied[idx]
+        # move to pos along eid in round t
+        old = vlast[pos]
+        undo.append((pos, eid, old, elast[eid]))
+        gap = t - (old if old >= 0 else 0)
         vlast[pos] = t
         vcnt[pos] += 1
         elast[eid] = t
         ecnt[eid] += 1
-        if multi:
-            choices.append(idx)
         t, peak = t + 1, (gap if gap > peak else peak)
     return WorstCaseResult(policy=policy, start=start, horizon=horizon,
                            peak=best_peak, witness=best_witness,

@@ -51,6 +51,36 @@ def test_generate_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["generate", "cycle", "n=2", "--out", "{tmp}/c.graph"],
+     "cycle requires n >= 3"),
+    (["generate", "flower-barrier", "delta=1", "stair_len=1",
+      "--out", "{tmp}/f.graph"], "flower_barrier requires delta >= 2"),
+    (["generate", "cycle", "n=5", "--out", "{tmp}/missing/c.graph"],
+     "No such file or directory"),
+    (["generate", "grid", "w=2", "h=2", "--out", "{tmp}/missing/g.graph"],
+     "No such file or directory"),
+    (["generate", "cycle", "n=5", "--out", "{tmp}"], "Is a directory"),
+    (["simulate", "--scenario", "{tmp}/s.json", "--out-dir", "{tmp}/file"],
+     "File exists"),
+    (["simulate", "--scenario", "{tmp}/s.json",
+      "--out-dir", "{tmp}/file/sub"], "Not a directory"),
+    (["sweep", "--family", "path", "--sweep", "n=4..5", "--policies",
+      "lrv-v", "--horizon", "10", "--out-dir", "{tmp}/file"],
+     "File exists"),
+], ids=["generate-cycle-n2", "generate-flower-delta1",
+        "generate-missing-dir", "generate-grid-missing-dir",
+        "generate-onto-dir", "simulate-out-dir-file",
+        "simulate-out-dir-under-file", "sweep-out-dir-file"])
+def test_bad_family_params_and_output_paths_exit_2(tmp_path, capsys, argv,
+                                                   message):
+    write_scenario(tmp_path / "s.json")
+    (tmp_path / "file").write_text("")
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_simulate_outputs(tmp_path, capsys):
     scenario = write_scenario(tmp_path / "s.json")
     out_dir = tmp_path / "run"

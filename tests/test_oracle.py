@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+from patrolsim import generators
 from patrolsim.engine import SimConfig, run
 from patrolsim.generators import cycle, four_cycle_chain, path_dual
 from patrolsim.metrics import vertex_peak_refresh
@@ -108,3 +111,51 @@ def test_search_without_recursion_limit():
     assert res.peak == 5
     assert res.witness == (0,)
     assert res.nodes_explored == 6001
+
+
+PIN_GRAPHS = {
+    "path_dual(4)": lambda: path_dual(4),
+    "cycle(5)": lambda: cycle(5),
+    "four_cycle_chain(2)": lambda: four_cycle_chain(2),
+    "diamond_gadget_chain(1)": lambda: generators.diamond_gadget_chain(1),
+    "flower_barrier(2,1)": lambda: generators.flower_barrier(2, 1),
+    "grid(2,1).dual": lambda: generators.grid_triangulation(2, 1).dual,
+}
+
+
+def _search_pins():
+    """``{(graph, policy): [(start, horizon, budget, expected)]}`` from
+    ``search_pins.txt``: every family, all five policies, both chain ends,
+    horizons 0, 1, 7 and 40 and budgets 1, 5, 100 and 10**6, as the search
+    reported them when it pushed a frame at every node.  Budgets 1 and 5
+    stop inside a forced chain.  At budget 10**6 and horizon 40 the file
+    keeps one budget-capped search; the other capped ones take seconds
+    each."""
+    pins = {}
+    for line in Path(__file__).with_name("search_pins.txt").read_text() \
+            .splitlines():
+        if line.startswith("#"):
+            continue
+        name, pol, start, horizon, budget, peak, witness, complete, nodes = \
+            line.split()
+        expected = (int(peak),
+                    () if witness == "-" else tuple(map(int, witness)),
+                    complete == "1", int(nodes))
+        pins.setdefault((name, pol), []).append(
+            (int(start), int(horizon), int(budget), expected))
+    return pins
+
+
+SEARCH_PINS = _search_pins()
+
+
+@pytest.mark.parametrize("name,policy", list(SEARCH_PINS),
+                         ids=lambda x: x)
+def test_search_matches_pins(name, policy):
+    g = PIN_GRAPHS[name]()
+    pol = PolicyKind.parse(policy)
+    for start, horizon, budget, expected in SEARCH_PINS[name, policy]:
+        res = exhaustive_tiebreak_search(g, pol, start, horizon,
+                                         node_budget=budget)
+        assert (res.peak, res.witness, res.complete,
+                res.nodes_explored) == expected, (start, horizon, budget)

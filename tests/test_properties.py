@@ -1,11 +1,13 @@
 """Property-based invariants over randomized graphs and configurations."""
 
+import dataclasses
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patrolsim.engine import SimConfig, run
+from patrolsim.engine import SimConfig, init, run, step
 from patrolsim.graph import Graph, dumps_graph, parse_graph
 from patrolsim.metrics import refresh_series
 from patrolsim.policies import (PolicyKind, TieBreakSpec, decision_keys,
@@ -77,6 +79,87 @@ def test_run_deterministic_and_visit_conserving(seed, pol_idx, horizon):
     # every move follows an actual edge
     for _, _, u, eid, v in a.events:
         assert g.edges[eid] == (min(u, v), max(u, v))
+
+
+TIEBREAK_KINDS = ("lowest_id", "seeded_random", "scripted")
+
+
+def stepping_config(seed, pol_idx, kind, horizon, arrive):
+    """A random connected graph with 1-3 robots, some of them arriving
+    late.  A scripted tie-break gets 0s and 1s, which every tied set it is
+    asked about admits, and more of them than 3 robots read in 60 rounds."""
+    g = random_connected_graph(seed)
+    rng = random.Random(seed ^ 0x57E9)
+    starts = tuple(rng.randrange(g.n) for _ in range(rng.randrange(1, 4)))
+    arrivals = ()
+    if arrive:
+        starts = starts[1:]
+        arrivals = tuple((rng.randrange(horizon + 1), rng.randrange(g.n))
+                         for _ in range(rng.randrange(1, 3)))
+    tiebreak = {
+        "lowest_id": TieBreakSpec.lowest_id(),
+        "seeded_random": TieBreakSpec.seeded_random(seed % 83),
+        "scripted": TieBreakSpec.scripted(
+            rng.randrange(2) for _ in range(3 * 60)),
+    }[kind]
+    return SimConfig(graph=g, policy=ALL_POLICIES[pol_idx], starts=starts,
+                     horizon=horizon, tiebreak=tiebreak, arrivals=arrivals)
+
+
+def state_facts(state):
+    return (state.round, list(state.robots), list(state.events),
+            list(state.marks), list(state.vlast), list(state.vcnt),
+            list(state.elast), list(state.ecnt), state.tiebreak.unread)
+
+
+@given(st.integers(0, 10**9), st.integers(0, 4), st.sampled_from(
+    TIEBREAK_KINDS), st.integers(0, 40), st.booleans(),
+       st.lists(st.integers(0, 40), max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_multi_round_step_equals_single_steps(seed, pol_idx, kind, horizon,
+                                              arrive, cuts):
+    cfg = stepping_config(seed, pol_idx, kind, horizon, arrive)
+    single = init(cfg)
+    for _ in range(horizon):
+        step(single)
+    # the rounds split at the cuts, repeats giving steps of 0 rounds
+    bounds = [0] + sorted(min(c, horizon) for c in cuts) + [horizon]
+    multi = init(cfg)
+    for lo, hi in zip(bounds, bounds[1:]):
+        assert step(multi, hi - lo) is multi
+    assert state_facts(multi) == state_facts(single)
+    # past the horizon or backwards: rejected before any round is played
+    fresh = init(cfg)
+    before = state_facts(fresh)
+    for bad in (-1, horizon + 1):
+        with pytest.raises(ValueError):
+            step(fresh, bad)
+        assert state_facts(fresh) == before
+    with pytest.raises(ValueError, match="horizon"):
+        step(single)
+    assert state_facts(single) == state_facts(multi)
+
+
+def run_reading_script(cfg):
+    """``run(cfg)``, a scripted tie-break cut to the entries it reads."""
+    if cfg.tiebreak.kind == "scripted":
+        unread = step(init(cfg), cfg.horizon).tiebreak.unread
+        script = cfg.tiebreak.script[:len(cfg.tiebreak.script) - unread]
+        cfg = dataclasses.replace(cfg, tiebreak=TieBreakSpec.scripted(script))
+    return run(cfg)
+
+
+@given(st.integers(0, 10**9), st.integers(0, 4), st.sampled_from(
+    TIEBREAK_KINDS), st.integers(0, 30), st.integers(1, 30), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_shorter_run_is_a_prefix(seed, pol_idx, kind, h1, extra, arrive):
+    # robots arrive by h1, so both horizons admit the same robots
+    short = stepping_config(seed, pol_idx, kind, h1, arrive)
+    long = dataclasses.replace(short, horizon=h1 + extra)
+    a, b = run_reading_script(short), run_reading_script(long)
+    assert b.events[:len(a.events)] == a.events
+    assert all(r > h1 for r, *_ in b.events[len(a.events):])
+    assert a.marks == b.marks
 
 
 def brute_force_refresh(trace, after):
