@@ -9,18 +9,21 @@ across repeated invocations.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import json
 import os
+import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import generators, verify
-from .engine import SimConfig, run
-from .graph import GraphFormatError, diameter, load_graph, save_graph
+from .engine import SimConfig, run, run_series
+from .graph import GraphFormatError, diameter, dumps_graph, load_graph
 from .metrics import fit_growth, metrics_csv, refresh_series
 from .policies import PolicyKind, TieBreakSpec
-from .triangulation import save_triangulation
+from .triangulation import dumps_triangulation
 
 USAGE_ERROR = 2
 
@@ -38,6 +41,41 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = USAGE_ERROR):
         super().__init__(message)
         self.code = code
+
+
+@contextlib.contextmanager
+def _written_together(paths: list[Path]):
+    """Yield a text file open on a temporary sibling of each of ``paths``.
+
+    Only when the block ends without an error are the files closed and
+    renamed onto ``paths``; otherwise the temporaries are removed and no
+    path is touched.  A symlink is written through, onto the file it names,
+    and a file replaced keeps its permission bits.  A path naming a
+    directory fails before anything is written, since a rename onto it
+    would fail after others were done."""
+    targets = [Path(os.path.realpath(path)) for path in paths]
+    for path in targets:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                    str(path))
+    temps, files = [], []
+    try:
+        for i, path in enumerate(targets):
+            temps.append(path.with_name(f".{path.name}.{os.getpid()}.{i}.tmp"))
+            files.append(open(temps[-1], "w"))
+        yield files
+        for f in files:
+            f.close()
+        for temp, path in zip(temps, targets):
+            if path.exists():
+                shutil.copymode(path, temp)
+            os.replace(temp, path)
+    finally:
+        for f in files:
+            f.close()
+        for temp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(temp)
 
 
 def _parse_params(tokens: list[str]) -> dict[str, int]:
@@ -71,16 +109,20 @@ def cmd_generate(args) -> int:
     try:
         if spec.family == "grid_triangulation":
             tri = generators.grid_triangulation(**spec.params)
-            save_triangulation(tri, Path(str(out) + ".tri"))
             g = tri.dual
-            save_graph(g, out)
-            print(f"wrote {out} (dual graph) and {out}.tri (triangulation)")
+            texts = {Path(str(out) + ".tri"): dumps_triangulation(tri),
+                     out: dumps_graph(g)}
+            wrote = f"wrote {out} (dual graph) and {out}.tri (triangulation)"
         else:
             g = spec.build()
-            save_graph(g, out)
-            print(f"wrote {out}")
+            texts = {out: dumps_graph(g)}
+            wrote = f"wrote {out}"
+        with _written_together(list(texts)) as files:
+            for f, text in zip(files, texts.values()):
+                f.write(text)
     except (ValueError, OSError) as exc:
         raise CliError(f"generate: {exc}") from exc
+    print(wrote)
     print(f"n={g.n} m={g.m} max_degree={g.max_degree()} "
           f"diameter={diameter(g)}")
     return 0
@@ -238,23 +280,29 @@ def cmd_simulate(args) -> int:
         trace = run(config)
     except ValueError as exc:
         raise CliError(f"simulate: {exc}") from exc
+    series = refresh_series(trace)
+    peak = max(series.vertex_peak, default=0)
+    ct = series.coverage_time
+    summary = json.loads(trace.summary_json())
+    summary["peak_refresh"] = peak
+    summary["coverage_time"] = ct
 
     out_dir = Path(args.out_dir)
+    paths = [out_dir / outputs.get(key, name) for key, name
+             in (("events", "events.csv"), ("metrics", "metrics.csv"),
+                 ("summary", "summary.json"))]
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     try:  # an --out-dir naming a file is an input error
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / outputs.get("events", "events.csv")).write_text(
-            trace.events_csv())
-        series = refresh_series(trace)
-        (out_dir / outputs.get("metrics", "metrics.csv")).write_text(
-            metrics_csv(series))
-        peak = max(series.vertex_peak, default=0)
-        ct = series.coverage_time
-        summary = json.loads(trace.summary_json())
-        summary["peak_refresh"] = peak
-        summary["coverage_time"] = ct
-        (out_dir / outputs.get("summary", "summary.json")).write_text(
-            json.dumps(summary, sort_keys=True, indent=2) + "\n")
+        with _written_together(paths) as (events, metrics, summary_file):
+            trace.write_events_csv(events)
+            metrics.write(metrics_csv(series))
+            summary_file.write(json.dumps(summary, sort_keys=True, indent=2)
+                               + "\n")
     except OSError as exc:
+        for d in made:  # the directories this run made, innermost first
+            with contextlib.suppress(OSError):
+                d.rmdir()
         raise CliError(f"simulate: {exc}") from exc
     print(f"peak_refresh={peak} coverage_time={ct}")
     return 0
@@ -277,7 +325,7 @@ def _sweep_one(job) -> tuple:
     cfg = SimConfig(graph=g, policy=PolicyKind.parse(policy), starts=starts,
                     horizon=horizon, tiebreak=TieBreakSpec.seeded_random(seed),
                     seed=seed)
-    series = refresh_series(run(cfg))
+    series = run_series(cfg)
     return (family, params, policy, robots, seed,
             max(series.vertex_peak, default=0), series.coverage_time)
 
@@ -315,7 +363,8 @@ def cmd_sweep(args) -> int:
     # a robot count below 1, a negative horizon, an isolated start vertex
     # or a PATROLSIM_WORKERS that is not an integer is an input error
     try:
-        workers = int(os.environ.get("PATROLSIM_WORKERS", "1"))
+        workers = min(int(os.environ.get("PATROLSIM_WORKERS", "1")),
+                      len(jobs), os.cpu_count() or 1)
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_sweep_one, jobs))
@@ -348,8 +397,10 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out_dir)
     try:  # an --out-dir naming a file is an input error
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
-        (out_dir / "fits.txt").write_text(fit_text + "\n" if fit_text else "")
+        with _written_together([out_dir / "sweep.csv",
+                                out_dir / "fits.txt"]) as (rows_f, fits_f):
+            rows_f.write("\n".join(lines) + "\n")
+            fits_f.write(fit_text + "\n" if fit_text else "")
     except OSError as exc:
         raise CliError(f"sweep: {exc}") from exc
     print(f"wrote {out_dir / 'sweep.csv'} ({len(rows)} runs)")

@@ -6,8 +6,12 @@ import json
 from dataclasses import dataclass
 
 from .graph import Graph
+from .metrics import RefreshMeter, RefreshSeries
 from .policies import (IsolatedVertexError, PolicyKind, ScriptUnusedError,
                        TieBreakSpec, decision_keys, tied_entries)
+
+CLOSE = RefreshMeter.CLOSE
+FEED_BATCH = 4096  # visits a metered run holds before feeding its meter
 
 
 @dataclass(frozen=True)
@@ -40,6 +44,13 @@ Event = tuple[int, int, int, int, int]
 # Visit marking that is not a move: (round, robot, vertex)
 Mark = tuple[int, int, int]
 
+_EVENTS_HEADER = "round,robot,from,edge,to\n"
+EVENTS_CHUNK = 8192  # events formatted per write by Trace.write_events_csv
+
+
+def _events_rows(events) -> str:
+    return "".join(["%d,%d,%d,%d,%d\n" % e for e in events])
+
 
 @dataclass
 class Trace:
@@ -58,9 +69,15 @@ class Trace:
         return self.config.horizon
 
     def events_csv(self) -> str:
-        lines = ["round,robot,from,edge,to"]
-        lines.extend(f"{r},{b},{u},{e},{v}" for r, b, u, e, v in self.events)
-        return "\n".join(lines) + "\n"
+        return _EVENTS_HEADER + _events_rows(self.events)
+
+    def write_events_csv(self, file) -> None:
+        """Write ``events_csv()`` to ``file`` EVENTS_CHUNK events at a time,
+        so the text of at most one chunk is held at once."""
+        file.write(_EVENTS_HEADER)
+        events = self.events
+        for i in range(0, len(events), EVENTS_CHUNK):
+            file.write(_events_rows(events[i:i + EVENTS_CHUNK]))
 
     def summary_json(self) -> str:
         payload = {
@@ -82,9 +99,13 @@ class SimState:
     """Mutable state of one run, as flat lists indexed by vertex or edge
     id: ``vlast``/``elast`` hold the last visit/traversal round (-1 for
     never) and ``vcnt``/``ecnt`` the counts.  ``robots[i]`` is the position
-    of robot ``i``."""
+    of robot ``i``.  ``events`` and ``marks`` are None when the run does
+    not record them.  A ``meter``, when given, is fed every visit: the
+    visits gather in ``visits``, as the meter's stream, until ``step``
+    returns or FEED_BATCH of them are held."""
 
-    def __init__(self, config: SimConfig):
+    def __init__(self, config: SimConfig, record: bool = True,
+                 meter: RefreshMeter | None = None):
         self.config = config
         self.graph = g = config.graph
         self.round = 0
@@ -93,8 +114,10 @@ class SimState:
         self.elast = [-1] * g.m
         self.ecnt = [0] * g.m
         self.robots: list[int] = []
-        self.events: list[Event] = []
-        self.marks: list[Mark] = []
+        self.events: list[Event] | None = [] if record else None
+        self.marks: list[Mark] | None = [] if record else None
+        self.meter = meter
+        self.visits: list[int] | None = None if meter is None else []
         self.tiebreak = config.tiebreak.make(default_seed=config.seed)
         self.keys, self.slot = decision_keys(
             config.policy, g.n, self.vlast, self.vcnt, self.elast, self.ecnt)
@@ -103,7 +126,10 @@ class SimState:
             key=lambda t: (t[0], t[1]))
 
     def _add_robot(self, vertex: int, round_: int) -> None:
-        self.marks.append((round_, len(self.robots), vertex))
+        if self.marks is not None:
+            self.marks.append((round_, len(self.robots), vertex))
+        if self.visits is not None:
+            self.visits.append(vertex)
         self.robots.append(vertex)
         self.vlast[vertex] = round_
         self.vcnt[vertex] += 1
@@ -114,12 +140,18 @@ class SimState:
             self._add_robot(vertex, self.round)
 
 
-def init(config: SimConfig) -> SimState:
-    """Round 0: place the initial robots and mark their start vertices."""
-    state = SimState(config)
+def init(config: SimConfig, record: bool = True,
+         meter: RefreshMeter | None = None) -> SimState:
+    """Round 0: place the initial robots and mark their start vertices.
+
+    With ``record`` false the run keeps no events or marks; a ``meter`` is
+    fed every visit, these marks included."""
+    state = SimState(config, record, meter)
     for v in config.starts:
         state._add_robot(v, 0)
     state._activate_arrivals()  # arrivals scheduled for round 0
+    if state.visits is not None:
+        state.visits.append(CLOSE)
     return state
 
 
@@ -131,9 +163,11 @@ def step(state: SimState, rounds: int = 1) -> SimState:
     arriving in a round are placed (their start vertex marked) before
     anyone moves, then move like everyone else.  A robot with a single
     candidate moves without consulting the tie-break, so singleton sets
-    consume no script entry or randomness.  ``step(state, k)`` equals
-    ``k`` calls of ``step(state)``; negative ``rounds`` or a step past the
-    horizon raises ``ValueError`` before any round is played.
+    consume no script entry or randomness.  A metered run adds each
+    round's arrivals, its moves and ``CLOSE`` to the meter's stream, and
+    the stream is fed by the time ``step`` returns.  ``step(state, k)``
+    equals ``k`` calls of ``step(state)``; negative ``rounds`` or a step
+    past the horizon raises ``ValueError`` before any round is played.
     """
     left = state.config.horizon - state.round
     if not 0 <= rounds <= left:
@@ -141,7 +175,7 @@ def step(state: SimState, rounds: int = 1) -> SimState:
     adj, keys, slot = state.graph.adj, state.keys, state.slot
     vlast, vcnt, elast, ecnt = state.vlast, state.vcnt, state.elast, state.ecnt
     robots, events, pending = state.robots, state.events, state._pending
-    choose = state.tiebreak.choose
+    choose, visits = state.tiebreak.choose, state.visits
     for t in range(state.round + 1, state.round + rounds + 1):
         state.round = t
         if pending and pending[0][0] <= t:
@@ -154,25 +188,49 @@ def step(state: SimState, rounds: int = 1) -> SimState:
                 to, via = tied[choose(len(tied))]
             else:
                 raise IsolatedVertexError(f"vertex {pos} has no neighbors")
-            events.append((t, rid, pos, via, to))
+            if events is not None:
+                events.append((t, rid, pos, via, to))
             robots[rid] = to
             vlast[to] = t
             vcnt[to] += 1
             elast[via] = t
             ecnt[via] += 1
+        if visits is not None:
+            visits += robots
+            visits.append(CLOSE)
+            if len(visits) >= FEED_BATCH:
+                state.meter.feed(visits)
+                visits.clear()
+    if visits:
+        state.meter.feed(visits)
+        visits.clear()
     return state
 
 
-def run(config: SimConfig) -> Trace:
-    """``init`` plus a step of ``horizon`` rounds.  A SCRIPTED tie-break
-    must be read to its end: entries left over raise ``ScriptUnusedError``."""
-    state = step(init(config), config.horizon)
+def finish(state: SimState) -> SimState:
+    """The check a run to the horizon ends with: a SCRIPTED tie-break must
+    be read to its end, and entries left over raise ``ScriptUnusedError``."""
     if state.tiebreak.unread:
         raise ScriptUnusedError(
             f"{state.tiebreak.unread} script choices left unread at the "
             "horizon")
+    return state
+
+
+def run(config: SimConfig) -> Trace:
+    """``init`` plus a step of ``horizon`` rounds, every event and mark
+    recorded."""
+    state = finish(step(init(config), config.horizon))
     return Trace(config=config,
                  events=tuple(state.events),
                  marks=tuple(state.marks),
                  vertex_visit_counts=tuple(state.vcnt),
                  edge_traversal_counts=tuple(state.ecnt))
+
+
+def run_series(config: SimConfig, after: int = 0) -> RefreshSeries:
+    """``refresh_series(run(config), after)`` from a run that records no
+    events or marks: the metrics are kept as it steps."""
+    meter = RefreshMeter(config.graph.n, after)
+    finish(step(init(config, record=False, meter=meter), config.horizon))
+    return meter.series()

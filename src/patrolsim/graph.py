@@ -97,11 +97,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(a) for a in self.adj), default=0)
 
-    def edge_endpoints(self, eid: int) -> tuple[int, int]:
-        if not (0 <= eid < self.m):
-            raise GraphError(f"edge {eid} out of range for m={self.m}")
-        return self.edges[eid]
-
     def validate(self, require_max_deg3: bool = False) -> list[str]:
         """Structural violations, including connectivity."""
         violations = check_edge_list(self.n, self.edges, require_max_deg3)

@@ -1,13 +1,17 @@
-"""Refresh-time analytics over traces, plus growth fits."""
+"""Refresh-time analytics over runs, kept online or replayed from a trace,
+plus growth fits."""
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain, islice, repeat
+from operator import itemgetter
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .engine import Trace
+if TYPE_CHECKING:
+    from .engine import Trace
 
 
 @dataclass(frozen=True)
@@ -27,71 +31,107 @@ class GrowthFit:
     ratio: float | None               # geometric model: value ~ ratio**param
 
 
-def _visits(trace: Trace):
-    """``(round, vertex)`` for every visit in round order, a round's arrival
-    marks before its moves, then ``(horizon + 1, -1)`` to close the last
-    round."""
-    end = (trace.horizon + 1, -1, -1)
-    marks = iter(trace.marks)
-    mark = next(marks, end)
-    for t, _, _, _, v in trace.events:
-        while mark[0] <= t:
-            yield mark[0], mark[2]
-            mark = next(marks, end)
-        yield t, v
-    while mark is not end:
-        yield mark[0], mark[2]
-        mark = next(marks, end)
-    yield end[0], end[2]
-
-
-def refresh_series(trace: Trace, after: int = 0) -> RefreshSeries:
-    """Every refresh metric of ``trace`` from one pass over its visits.
+class RefreshMeter:
+    """Every refresh metric of one run, kept online as its visits are fed in.
 
     ``round_max[t]`` is the age of the stalest vertex after round t, where
     an unvisited vertex refreshes from round 0, and ``covered[t]`` counts
-    the vertices visited by then.  ``vertex_peak`` is each vertex's longest
-    gap between visits, counting only gaps that end after round ``after``:
-    the first gap runs from round 0 and the trailing one to the horizon,
-    so a vertex never visited has one gap spanning the run.
+    the vertices visited by then.  A vertex's peak is its longest gap
+    between visits, counting only gaps that end after round ``after``: the
+    first gap runs from round 0 and the trailing one to the last round
+    closed, so a vertex never visited has one gap spanning the run.
 
     ``at[r]`` counts the vertices last visited in round r.  Last visits
-    only grow, so the oldest round with a nonzero count only moves forward
-    and the pass is O(n + horizon + visits).
+    only grow, so the oldest round with a nonzero count only moves forward,
+    and a run costs O(n + rounds + visits) time and holds O(n + rounds)
+    ints, however many robots move.
     """
-    n, horizon = trace.graph.n, trace.horizon
-    last = [0] * n
-    peak = [0] * n
-    seen = [False] * n
-    at = [0] * (horizon + 1)
-    at[0] = n
-    t = oldest = covered = 0
-    round_max, covered_by = [], []
-    for r, v in _visits(trace):
-        while t < r:  # round t is complete
-            while not at[oldest]:
-                oldest += 1
-            round_max.append(t - oldest)
-            covered_by.append(covered)
-            t += 1
-        if v < 0:
-            break
-        lv = last[v]
-        if r - lv > peak[v] and r > after:
-            peak[v] = r - lv
-        at[lv] -= 1
-        at[r] += 1
-        last[v] = r
-        if not seen[v]:
-            seen[v] = True
-            covered += 1
-    if horizon > after:
-        peak = [max(p, horizon - lv) for p, lv in zip(peak, last)]
-    first = bisect_left(covered_by, n)
-    return RefreshSeries(round_max=tuple(round_max),
-                         covered=tuple(covered_by),
-                         vertex_peak=tuple(peak),
-                         coverage_time=first if first <= horizon else None)
+
+    CLOSE = -1  # fed in place of a vertex, ends the open round
+
+    def __init__(self, n: int, after: int = 0):
+        self.n, self.after = n, after
+        self.last = [0] * n
+        self.seen = [False] * n
+        self.peak = [0] * n
+        self.at = [n]
+        self.t = self.oldest = self.visited = 0   # t: the open round
+        self.round_max: list[int] = []
+        self.covered: list[int] = []
+
+    def feed(self, visits: Iterable[int]) -> None:
+        """Feed the vertices visited in the open round, in any order, and
+        ``CLOSE`` to end it and open the next.  A run's visits may be fed
+        in as many calls as the feeder likes."""
+        last, seen, peak, at = self.last, self.seen, self.peak, self.at
+        after, round_max, covered = self.after, self.round_max, self.covered
+        t, oldest, visited = self.t, self.oldest, self.visited
+        for v in visits:
+            if v < 0:  # round t is complete
+                while not at[oldest]:
+                    oldest += 1
+                round_max.append(t - oldest)
+                covered.append(visited)
+                at.append(0)
+                t += 1
+                continue
+            lv = last[v]
+            if t - lv > peak[v] and t > after:
+                peak[v] = t - lv
+            at[lv] -= 1
+            at[t] += 1
+            last[v] = t
+            if not seen[v]:
+                seen[v] = True
+                visited += 1
+        self.t, self.oldest, self.visited = t, oldest, visited
+
+    def series(self) -> RefreshSeries:
+        """The metrics of the rounds closed so far."""
+        horizon = self.t - 1
+        peak = self.peak
+        if horizon > self.after:
+            peak = [max(p, horizon - lv) for p, lv in zip(peak, self.last)]
+        first = bisect_left(self.covered, self.n)
+        return RefreshSeries(round_max=tuple(self.round_max),
+                             covered=tuple(self.covered),
+                             vertex_peak=tuple(peak),
+                             coverage_time=first if first <= horizon else None)
+
+
+def _visits(trace: Trace) -> Iterator[int]:
+    """``trace`` as a ``RefreshMeter`` stream: for each round 0..horizon,
+    its arrival marks, its moves, then ``CLOSE``.
+
+    Every robot placed moves once a round, so between two arrival rounds
+    each round has as many moves as robots, and those rounds are cut out of
+    the events by count."""
+    close = RefreshMeter.CLOSE
+    placed: dict[int, list[int]] = {}
+    for t, _, v in trace.marks:
+        placed.setdefault(t, []).append(v)
+    moves = map(itemgetter(4), trace.events)
+    parts: list[Iterable[int]] = [placed.get(0, ()), (close,)]
+    robots, t = len(parts[0]), 1
+    for arrival in sorted(placed.keys() - {0}) + [trace.horizon + 1]:
+        if robots:  # rounds t..arrival-1
+            rounds = islice(moves, robots * (arrival - t))
+            parts.append(chain.from_iterable(
+                zip(*[rounds] * robots, repeat(close))))
+        else:
+            parts.append(repeat(close, arrival - t))
+        parts.append(placed.get(arrival, ()))
+        robots += len(parts[-1])
+        t = arrival
+    return chain.from_iterable(parts)
+
+
+def refresh_series(trace: Trace, after: int = 0) -> RefreshSeries:
+    """Every refresh metric of ``trace``: its visits fed through a
+    ``RefreshMeter`` in one pass."""
+    meter = RefreshMeter(trace.graph.n, after)
+    meter.feed(_visits(trace))
+    return meter.series()
 
 
 def vertex_peak_refresh(trace: Trace, after: int = 0) -> list[int]:

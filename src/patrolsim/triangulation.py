@@ -150,11 +150,6 @@ def parse_triangulation(text: str) -> Triangulation:
         raise GraphFormatError(pos, str(exc)) from exc
 
 
-def save_triangulation(t: Triangulation, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_triangulation(t))
-
-
 def load_triangulation(path) -> Triangulation:
     with open(path) as fh:
         return parse_triangulation(fh.read())

@@ -13,10 +13,9 @@ import statistics
 from dataclasses import dataclass
 
 from . import generators
-from .engine import SimConfig, init, run, step
+from .engine import SimConfig, init, run, run_series, step
 from .graph import Graph, diameter
-from .metrics import (coverage_time, fit_growth, refresh_series,
-                      vertex_peak_refresh)
+from .metrics import RefreshMeter, fit_growth
 from .oracle import exhaustive_tiebreak_search, reference_run
 from .ownership import (OwnerMap, assign_owners, verify_theorem1,
                         verify_theorem2)
@@ -63,9 +62,9 @@ def criterion_coverage() -> CheckResult:
         for pol in ALL_POLICIES:
             ct, horizon = None, g.n
             while ct is None and horizon // 2 < budget:
-                ct = coverage_time(run(SimConfig(
+                ct = run_series(SimConfig(
                     graph=g, policy=pol, starts=(0,),
-                    horizon=min(horizon, budget))))
+                    horizon=min(horizon, budget))).coverage_time
                 horizon *= 2
             if ct is None:
                 return CheckResult("coverage", False,
@@ -117,8 +116,7 @@ def criterion_lfve_latency() -> CheckResult:
             cfg = SimConfig(graph=g, policy=PolicyKind.LFV_E,
                             starts=(seed % g.n,), horizon=5 * md,
                             tiebreak=TieBreakSpec.seeded_random(seed))
-            tr = run(cfg)
-            peak = max(vertex_peak_refresh(tr, after=md))
+            peak = max(run_series(cfg, after=md).vertex_peak)
             worst = max(worst, peak)
             if peak > 4 * md:
                 return CheckResult(
@@ -136,9 +134,8 @@ def criterion_quadratic_growth() -> CheckResult:
         points = []
         for k in range(4, 13):
             g = generators.four_cycle_chain(k)
-            tr = run(SimConfig(graph=g, policy=pol, starts=(0,),
-                               horizon=60 * k * k))
-            peaks = vertex_peak_refresh(tr)
+            peaks = run_series(SimConfig(graph=g, policy=pol, starts=(0,),
+                                         horizon=60 * k * k)).vertex_peak
             points.append((k, max(peaks[4 * (k - 1):])))
         exponent = fit_growth(points, "power").exponent
         details.append(f"{pol.value}: exponent {exponent:.2f}")
@@ -159,17 +156,16 @@ def criterion_lrv_worst_case() -> CheckResult:
         g = generators.four_cycle_chain(k)
         horizon = 40 * k
         res = exhaustive_tiebreak_search(g, PolicyKind.LRV_V, 0, horizon)
-        tr = run(SimConfig(graph=g, policy=PolicyKind.LRV_V, starts=(0,),
-                           horizon=horizon,
-                           tiebreak=TieBreakSpec.scripted(res.witness)))
-        replayed = max(vertex_peak_refresh(tr))
+        replayed = max(run_series(SimConfig(
+            graph=g, policy=PolicyKind.LRV_V, starts=(0,), horizon=horizon,
+            tiebreak=TieBreakSpec.scripted(res.witness))).vertex_peak)
         if replayed != res.peak:
             return CheckResult("lrv-worst-case", False,
                                f"k={k}: witness replay gave {replayed}, "
                                f"search reported {res.peak}")
-        default = max(vertex_peak_refresh(
-            run(SimConfig(graph=g, policy=PolicyKind.LRV_V, starts=(0,),
-                          horizon=horizon))))
+        default = max(run_series(SimConfig(
+            graph=g, policy=PolicyKind.LRV_V, starts=(0,),
+            horizon=horizon)).vertex_peak)
         if res.peak < default:
             return CheckResult("lrv-worst-case", False,
                                f"k={k}: search peak {res.peak} below "
@@ -193,8 +189,8 @@ def criterion_lrv_worst_case() -> CheckResult:
     return CheckResult("lrv-worst-case", passed, detail)
 
 
-def _steady_mean_max_refresh(trace, start_round: int) -> float:
-    window = refresh_series(trace).round_max[start_round:]
+def _steady_mean(series, start_round: int) -> float:
+    window = series.round_max[start_round:]
     return sum(window) / len(window)
 
 
@@ -211,16 +207,19 @@ def multi_robot_steady_means() -> tuple[int, dict[PolicyKind, dict[int, float]]]
     means = {}
     for pol in (PolicyKind.LRV_V, PolicyKind.LFV_E):
         peaks = {}
-        # single-robot steady tour; also serves as the r=1 measurement
-        pre = run(SimConfig(graph=g, policy=pol, starts=(0,), horizon=30_000))
-        peaks[1] = _steady_mean_max_refresh(pre, 24_000)
-        tour = [e[4] for e in pre.events[-2 * g.m:]]
+        # single-robot steady tour, read one round at a time over the last
+        # 2*m rounds; the run also serves as the r=1 measurement
+        meter = RefreshMeter(g.n)
+        state = step(init(SimConfig(graph=g, policy=pol, starts=(0,),
+                                    horizon=30_000), record=False,
+                          meter=meter), 30_000 - 2 * g.m)
+        tour = [step(state).robots[0] for _ in range(2 * g.m)]
+        peaks[1] = _steady_mean(meter.series(), 24_000)
         for r in (3, 9):
             # robots start evenly spaced along the single-robot steady tour
             starts = tuple(tour[(i * len(tour)) // r] for i in range(r))
-            tr = run(SimConfig(graph=g, policy=pol, starts=starts,
-                               horizon=40_000))
-            peaks[r] = _steady_mean_max_refresh(tr, 25_000)
+            peaks[r] = _steady_mean(run_series(SimConfig(
+                graph=g, policy=pol, starts=starts, horizon=40_000)), 25_000)
         means[pol] = peaks
     return g.n, means
 

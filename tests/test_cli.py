@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import patrolsim
+from patrolsim import cli
 from patrolsim.cli import main
 from patrolsim.graph import load_graph
 from patrolsim.triangulation import load_triangulation
@@ -308,3 +309,71 @@ def test_verify_invariants_without_numpy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "PASS run-determinism" in proc.stdout
+
+
+def test_generate_failure_leaves_no_files(tmp_path, capsys):
+    # the .tri file would be written before the graph file fails
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    assert main(["generate", "grid", "w=2", "h=2", "--out", str(taken)]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert list(taken.iterdir()) == []
+
+
+@pytest.mark.parametrize("overrides", [
+    {"outputs": {"metrics": "nodir/metrics.csv"}},
+    {"tiebreak": {"kind": "scripted", "script": [0]}},
+], ids=["unwritable-metrics", "script-runs-out"])
+def test_simulate_failure_leaves_no_files(tmp_path, capsys, overrides):
+    scenario = write_scenario(tmp_path / "s.json", **overrides)
+    out_dir = tmp_path / "out" / "run"
+    assert main(["simulate", "--scenario", str(scenario),
+                 "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith("error: simulate: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
+
+
+def test_writes_go_through_symlinks_and_keep_modes(tmp_path, capsys):
+    real = tmp_path / "real.graph"
+    real.write_text("stale\n")
+    real.chmod(0o640)
+    link = tmp_path / "link.graph"
+    link.symlink_to(real)
+    assert main(["generate", "path", "n=4", "--out", str(link)]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote {link}")
+    assert link.is_symlink()
+    assert load_graph(real).n == 4
+    assert real.stat().st_mode & 0o777 == 0o640
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size and runs the jobs
+    in this process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("cpus,size", [(8, 3), (2, 2), (1, None),
+                                       (None, None)])
+def test_sweep_pool_is_capped(tmp_path, monkeypatch, cpus, size):
+    sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda max_workers: RecordingPool(sizes, max_workers))
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setenv("PATROLSIM_WORKERS", "1000")
+    assert main(["sweep", "--family", "path", "--sweep", "n=4..6",
+                 "--policies", "lrv-v", "--horizon", "10",
+                 "--out-dir", str(tmp_path)]) == 0  # 3 jobs
+    assert sizes == ([] if size is None else [size])
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 4

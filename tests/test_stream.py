@@ -1,0 +1,186 @@
+"""The metrics-only run and the refresh meter against a recorded trace, and
+the files ``simulate`` writes against ``Trace``'s own outputs."""
+
+import contextlib
+import io
+import json
+import random
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from patrolsim import cli, engine
+from patrolsim.engine import SimConfig, run, run_series
+from patrolsim.graph import save_graph
+from patrolsim.metrics import RefreshMeter, metrics_csv, refresh_series
+from patrolsim.generators import cycle
+from patrolsim.policies import PolicyKind, ScriptUnusedError, TieBreakSpec
+from test_properties import random_connected_graph
+
+ALL_POLICIES = tuple(PolicyKind)
+
+
+def random_config(seed, pol_idx, horizon, robots, arrive, tiebreak):
+    """1-3 robots on a random connected graph, one of them arriving late."""
+    g = random_connected_graph(seed)
+    rng = random.Random(seed ^ 0x57EA)
+    starts = tuple(rng.randrange(g.n) for _ in range(robots))
+    arrivals = ()
+    if arrive:
+        starts = starts[1:]
+        arrivals = ((rng.randrange(horizon + 1), rng.randrange(g.n)),)
+    return SimConfig(graph=g, policy=ALL_POLICIES[pol_idx], starts=starts,
+                     horizon=horizon, tiebreak=tiebreak, arrivals=arrivals)
+
+
+@given(st.integers(0, 10**9), st.integers(0, 4), st.integers(0, 40),
+       st.integers(1, 3), st.booleans(), st.integers(-1, 45),
+       st.integers(1, 12))
+@settings(max_examples=100, deadline=None)
+def test_run_series_equals_replayed_trace(seed, pol_idx, horizon, robots,
+                                          arrive, after, batch):
+    # a small feed batch: the engine feeds its meter many times a run
+    cfg = random_config(seed, pol_idx, horizon, robots, arrive,
+                        TieBreakSpec.seeded_random(seed % 89))
+    with mock.patch.object(engine, "FEED_BATCH", batch):
+        series = run_series(cfg, after)
+    assert series == refresh_series(run(cfg), after)
+
+
+@given(st.integers(0, 10**9), st.integers(0, 4), st.integers(0, 40),
+       st.integers(1, 3), st.booleans(), st.integers(-1, 45))
+@settings(max_examples=60, deadline=None)
+def test_meter_fed_in_pieces_equals_one_pass(seed, pol_idx, horizon, robots,
+                                             arrive, after):
+    # a round's visits in any order, cut into feeds at random points, some
+    # of them inside a round
+    cfg = random_config(seed, pol_idx, horizon, robots, arrive,
+                        TieBreakSpec.seeded_random(seed % 89))
+    trace = run(cfg)
+    rng = random.Random(seed)
+    rounds = [[] for _ in range(horizon + 1)]
+    for t, _, v in trace.marks:
+        rounds[t].append(v)
+    for t, _, _, _, v in trace.events:
+        rounds[t].append(v)
+    stream = []
+    for visits in rounds:
+        rng.shuffle(visits)
+        stream += visits + [RefreshMeter.CLOSE]
+    cuts = sorted(rng.randrange(len(stream) + 1) for _ in range(3))
+    meter = RefreshMeter(cfg.graph.n, after)
+    for lo, hi in zip([0] + cuts, cuts + [len(stream)]):
+        meter.feed(stream[lo:hi])
+    assert meter.series() == refresh_series(trace, after)
+
+
+def test_run_series_rejects_unread_script_entries():
+    # one tie in one round reads one entry; the second is left over
+    cfg = SimConfig(graph=cycle(4), policy=PolicyKind.LRV_V, starts=(0,),
+                    horizon=1, tiebreak=TieBreakSpec.scripted([1, 0]))
+    with pytest.raises(ScriptUnusedError, match="1 script choices"):
+        run_series(cfg)
+
+
+@given(st.integers(0, 10**9), st.integers(0, 4), st.integers(0, 13),
+       st.integers(1, 3), st.booleans(), st.integers(1, 5))
+@settings(max_examples=60, deadline=None)
+def test_chunked_events_csv_equals_whole(seed, pol_idx, horizon, robots,
+                                         arrive, chunk):
+    cfg = random_config(seed, pol_idx, horizon, robots, arrive,
+                        TieBreakSpec.seeded_random(seed % 89))
+    trace = run(cfg)
+    out = io.StringIO()
+    with mock.patch.object(engine, "EVENTS_CHUNK", chunk):
+        trace.write_events_csv(out)
+    assert out.getvalue() == trace.events_csv()
+
+
+def simulated_outputs(cfg, tiebreak, directory: Path) -> dict[str, bytes]:
+    """``patrolsim simulate`` on ``cfg``: the files it writes."""
+    save_graph(cfg.graph, directory / "g.graph")
+    scenario = {"graph": {"file": str(directory / "g.graph")},
+                "policy": cfg.policy.value, "tiebreak": tiebreak,
+                "robots": {"starts": list(cfg.starts),
+                           "arrivals": [list(a) for a in cfg.arrivals]},
+                "horizon": cfg.horizon}
+    (directory / "s.json").write_text(json.dumps(scenario))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["simulate", "--scenario", str(directory / "s.json"),
+                         "--out-dir", str(directory / "out")]) == 0
+    return {name: (directory / "out" / name).read_bytes()
+            for name in ("events.csv", "metrics.csv", "summary.json")}
+
+
+def recorded_outputs(cfg) -> dict[str, bytes]:
+    """The outputs as built from a whole recorded trace."""
+    trace = run(cfg)
+    series = refresh_series(trace)
+    summary = json.loads(trace.summary_json())
+    summary["peak_refresh"] = max(series.vertex_peak, default=0)
+    summary["coverage_time"] = series.coverage_time
+    return {"events.csv": trace.events_csv().encode(),
+            "metrics.csv": metrics_csv(series).encode(),
+            "summary.json": (json.dumps(summary, sort_keys=True, indent=2)
+                             + "\n").encode()}
+
+
+TIEBREAKS = {"lowest_id": ("lowest_id", TieBreakSpec.lowest_id()),
+             "seeded_random": ({"kind": "seeded_random", "seed": 5},
+                               TieBreakSpec.seeded_random(5))}
+
+
+@given(st.integers(0, 10**9), st.integers(0, 4), st.integers(0, 13),
+       st.integers(1, 3), st.booleans(), st.sampled_from(sorted(TIEBREAKS)))
+@settings(max_examples=30, deadline=None)
+def test_simulate_files_equal_recorded_outputs(seed, pol_idx, horizon,
+                                               robots, arrive, kind):
+    raw, spec = TIEBREAKS[kind]
+    cfg = random_config(seed, pol_idx, horizon, robots, arrive, spec)
+    with tempfile.TemporaryDirectory() as tmp:
+        assert simulated_outputs(cfg, raw, Path(tmp)) \
+            == recorded_outputs(cfg)
+
+
+def test_simulate_past_one_chunk_of_events(tmp_path):
+    # 3 robots for 3,000 rounds: 9,000 events fill one chunk and part of
+    # the next
+    cfg = random_config(7, 3, 3_000, 3, False, TieBreakSpec.seeded_random(5))
+    assert engine.EVENTS_CHUNK < 9_000 < 2 * engine.EVENTS_CHUNK
+    assert simulated_outputs(cfg, TIEBREAKS["seeded_random"][0], tmp_path) \
+        == recorded_outputs(cfg)
+
+
+def peak_growth(make, horizons):
+    """How much more memory ``make(horizon)`` peaks at for the last horizon
+    than for the one before it, as tracemalloc sees this process."""
+    peaks = []
+    for horizon in horizons:
+        tracemalloc.start()
+        try:
+            make(horizon)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks[-1] - peaks[-2]
+
+
+def test_run_series_memory_holds_no_events():
+    # 3 robots for 10x the rounds: a metrics-only run grows by its O(horizon)
+    # rows alone, a recorded one by 3 event tuples a round
+    g = random_connected_graph(11)
+
+    def config(horizon):
+        return SimConfig(graph=g, policy=PolicyKind.LRV_V, starts=(0, 1, 2),
+                         horizon=horizon)
+
+    horizons = (2_000, 2_000, 20_000)  # the first run warms up caches
+    series_growth = peak_growth(lambda h: run_series(config(h)), horizons)
+    trace_growth = peak_growth(lambda h: run(config(h)), horizons[1:])
+    assert series_growth < 2**20
+    assert 4 * series_growth < trace_growth
