@@ -185,8 +185,8 @@ def _parse_tiebreak(raw) -> TieBreakSpec:
 def load_scenario(path, witness: str | None = None) -> tuple[SimConfig, dict]:
     try:
         raw = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise CliError(f"scenario file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"scenario: {exc}")
     except json.JSONDecodeError as exc:
         raise CliError(f"scenario: invalid JSON: {exc}")
     if not isinstance(raw, dict):
@@ -201,7 +201,7 @@ def load_scenario(path, witness: str | None = None) -> tuple[SimConfig, dict]:
     if "file" in graph_raw:
         try:
             g = load_graph(_check(graph_raw["file"], str, "graph.file"))
-        except (OSError, GraphFormatError) as exc:
+        except (OSError, UnicodeDecodeError, GraphFormatError) as exc:
             raise CliError(f"scenario: graph.file: {exc}")
     elif "family" in graph_raw:
         family = _check(graph_raw["family"], str, "graph.family")
@@ -312,6 +312,8 @@ def _parse_range(text: str, flag: str) -> list[int]:
     try:
         if ".." in text:
             lo, _, hi = text.partition("..")
+            if int(hi) < int(lo):
+                raise CliError(f"{flag}: empty range {text!r}")
             return list(range(int(lo), int(hi) + 1))
         return [int(tok) for tok in text.split(",")]
     except ValueError:

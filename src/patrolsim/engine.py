@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
+from itertools import chain, cycle
+from operator import getitem
 
 from .graph import Graph
 from .metrics import RefreshMeter, RefreshSeries
@@ -44,12 +47,7 @@ Event = tuple[int, int, int, int, int]
 # Visit marking that is not a move: (round, robot, vertex)
 Mark = tuple[int, int, int]
 
-_EVENTS_HEADER = "round,robot,from,edge,to\n"
 EVENTS_CHUNK = 8192  # events formatted per write by Trace.write_events_csv
-
-
-def _events_rows(events) -> str:
-    return "".join(["%d,%d,%d,%d,%d\n" % e for e in events])
 
 
 @dataclass
@@ -69,15 +67,25 @@ class Trace:
         return self.config.horizon
 
     def events_csv(self) -> str:
-        return _EVENTS_HEADER + _events_rows(self.events)
+        self.write_events_csv(out := io.StringIO())
+        return out.getvalue()
 
     def write_events_csv(self, file) -> None:
-        """Write ``events_csv()`` to ``file`` EVENTS_CHUNK events at a time,
-        so the text of at most one chunk is held at once."""
-        file.write(_EVENTS_HEADER)
-        events = self.events
+        """Write ``events_csv()`` to ``file`` EVENTS_CHUNK events at a time.
+        Each field's text is looked up by value: ``"i,"`` by id, ``"v\\n"``
+        by to vertex and ``"t,"`` in a dict of the chunk's rounds."""
+        file.write("round,robot,from,edge,to\n")
+        g, events = self.graph, self.events
+        robots = len(self.config.starts) + len(self.config.arrivals)
+        ids = [f"{i}," for i in range(max(g.n, g.m, robots))]
+        ends = [f"{v}\n" for v in range(g.n)]
         for i in range(0, len(events), EVENTS_CHUNK):
-            file.write(_events_rows(events[i:i + EVENTS_CHUNK]))
+            chunk = events[i:i + EVENTS_CHUNK]
+            first, last = chunk[0][0], chunk[-1][0]
+            rounds = {t: f"{t}," for t in range(first, last + 1)}
+            tables = cycle((rounds, ids, ids, ids, ends))
+            file.write("".join(map(getitem, tables,
+                                   chain.from_iterable(chunk))))
 
     def summary_json(self) -> str:
         payload = {

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -147,10 +147,10 @@ def coverage_time(trace: Trace) -> int | None:
 def metrics_csv(series: RefreshSeries) -> str:
     """Per-round series: round, max refresh, fraction of vertices visited."""
     n = len(series.vertex_peak)
-    lines = ["round,max_refresh,coverage_fraction"]
-    lines.extend(f"{t},{mr},{c / n:.6f}" for t, (mr, c)
-                 in enumerate(zip(series.round_max, series.covered)))
-    return "\n".join(lines) + "\n"
+    fractions = [f"{c / n:.6f}\n" for c in range(n + 1)]
+    return "round,max_refresh,coverage_fraction\n" + "".join(map(
+        "%d,%d,%s".__mod__, zip(count(), series.round_max,
+                                map(fractions.__getitem__, series.covered))))
 
 
 def fit_growth(points: Sequence[tuple[float, float]], model: str) -> GrowthFit:

@@ -83,10 +83,15 @@ class SeededRandom:
     unread = 0
 
     def __init__(self, seed: int):
-        self._rng = random.Random(seed)
+        self._getrandbits = random.Random(seed).getrandbits
 
     def choose(self, n_tied: int) -> int:
-        return self._rng.randrange(n_tied)
+        """``Random(seed).randrange(n_tied)`` for ``n_tied >= 1``, drawn as
+        CPython 3.10-3.13 draws it but without its argument handling."""
+        r, bits = n_tied, n_tied.bit_length()
+        while r >= n_tied:
+            r = self._getrandbits(bits)
+        return r
 
 
 class Scripted:

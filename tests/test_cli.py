@@ -377,3 +377,37 @@ def test_sweep_pool_is_capped(tmp_path, monkeypatch, cpus, size):
                  "--out-dir", str(tmp_path)]) == 0  # 3 jobs
     assert sizes == ([] if size is None else [size])
     assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize("setup,message", [
+    (lambda d: (d / "s.json").mkdir(), "Is a directory"),
+    (lambda d: (d / "s.json").write_bytes(b'{"policy": "\xff"}'),
+     "can't decode"),
+    (lambda d: (write_scenario(d / "s.json",
+                               graph={"file": str(d / "g.graph")}),
+                (d / "g.graph").write_bytes(b"2 1\n0 1\n# name \xff\n")),
+     "scenario: graph.file: "),
+], ids=["scenario-dir", "scenario-not-utf8", "graph-file-not-utf8"])
+def test_simulate_unreadable_scenario_exits_2(tmp_path, capsys, setup,
+                                              message):
+    setup(tmp_path)
+    assert main(["simulate", "--scenario", str(tmp_path / "s.json"),
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario: ") and message in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--sweep", "n=5..3"), ("--seeds", "1..0"), ("--robots", "3..1"),
+], ids=["sweep", "seeds", "robots"])
+def test_sweep_empty_range_exits_2(tmp_path, capsys, flag, value):
+    args = {"--family": "path", "--sweep": "n=4..5", "--policies": "lrv-v",
+            "--horizon": "10", "--out-dir": str(tmp_path / "o")}
+    args[flag] = value
+    assert main(["sweep", *(tok for pair in args.items()
+                            for tok in pair)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: empty range ")
+    assert err.rstrip().endswith(value.split("=")[-1] + "'")
+    assert not (tmp_path / "o").exists()

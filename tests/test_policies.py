@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patrolsim.engine import SimConfig, run
 from patrolsim.generators import cycle, path_dual
@@ -139,3 +143,17 @@ def test_decide_is_pure():
 def test_tiebreak_spec_unknown_kind():
     with pytest.raises(ValueError):
         TieBreakSpec("coinflip").make()
+
+
+@given(st.integers(0, 2**64),
+       st.lists(st.one_of(st.integers(1, 9),
+                          st.integers(2**32 + 1, 2**32 + 2**20)),
+                max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_seeded_random_draws_as_randrange(seed, sizes):
+    # the engine's tie draws must stay the differential oracle's
+    # randrange draws, on every supported interpreter
+    resolver = TieBreakSpec.seeded_random(seed).make()
+    rng = random.Random(seed)
+    assert [resolver.choose(k) for k in sizes] \
+        == [rng.randrange(k) for k in sizes]

@@ -1,0 +1,82 @@
+"""The output writers against the row formulas they replaced: ``events.csv``
+as one ``%d`` format per event, ``metrics.csv`` as one f-string per round."""
+
+import io
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from patrolsim import engine
+from patrolsim.engine import SimConfig, run
+from patrolsim.generators import cycle
+from patrolsim.metrics import RefreshSeries, metrics_csv
+from patrolsim.policies import PolicyKind, TieBreakSpec
+from test_stream import random_config
+
+
+def reference_events_csv(trace) -> str:
+    return "round,robot,from,edge,to\n" + "".join(
+        "%d,%d,%d,%d,%d\n" % e for e in trace.events)
+
+
+def reference_metrics_csv(series) -> str:
+    n = len(series.vertex_peak)
+    lines = ["round,max_refresh,coverage_fraction"]
+    lines.extend(f"{t},{mr},{c / n:.6f}" for t, (mr, c)
+                 in enumerate(zip(series.round_max, series.covered)))
+    return "\n".join(lines) + "\n"
+
+
+def assert_writers_match(trace) -> None:
+    out = io.StringIO()
+    trace.write_events_csv(out)
+    expected = reference_events_csv(trace)
+    assert out.getvalue() == expected
+    assert trace.events_csv() == expected
+
+
+@given(st.integers(0, 10**9), st.integers(0, 4), st.integers(0, 40),
+       st.integers(1, 3), st.booleans(), st.integers(1, 7))
+@settings(max_examples=100, deadline=None)
+def test_events_writers_equal_reference(seed, pol_idx, horizon, robots,
+                                        arrive, chunk):
+    # small chunks start and end inside rounds
+    cfg = random_config(seed, pol_idx, horizon, robots, arrive,
+                        TieBreakSpec.seeded_random(seed % 89))
+    with mock.patch.object(engine, "EVENTS_CHUNK", chunk):
+        assert_writers_match(run(cfg))
+
+
+@pytest.mark.parametrize("robots,horizon", [(1, 0), (12, 0), (12, 50),
+                                            (4, 3_000)],
+                         ids=["horizon-0", "horizon-0-12-robots",
+                              "robot-ids-past-n-and-m", "past-one-chunk"])
+def test_events_writers_on_cycle3(robots, horizon):
+    # one robot of each run arrives half-way.  cycle(3) has n = m = 3, so
+    # 12 robots number past both tables; 4 robots for 3,000 rounds make
+    # 10,501 events, one chunk and part of the next
+    cfg = SimConfig(graph=cycle(3), policy=PolicyKind.LFV_E,
+                    starts=tuple(i % 3 for i in range(robots - 1)),
+                    arrivals=((horizon // 2, 2),), horizon=horizon,
+                    tiebreak=TieBreakSpec.seeded_random(robots))
+    trace = run(cfg)
+    if horizon == 50:
+        assert max(e[1] for e in trace.events) == 11
+    if horizon == 3_000:
+        assert engine.EVENTS_CHUNK < len(trace.events) \
+            < 2 * engine.EVENTS_CHUNK
+    assert_writers_match(trace)
+
+
+def test_metrics_csv_equals_reference():
+    # every covered count from 0 to n, for n in 1..300
+    rng = random.Random(7)
+    for n in range(1, 301):
+        covered = tuple(range(n + 1))
+        series = RefreshSeries(
+            round_max=tuple(rng.randrange(3 * n) for _ in covered),
+            covered=covered, vertex_peak=(0,) * n, coverage_time=n)
+        assert metrics_csv(series) == reference_metrics_csv(series)
