@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import generators, verify
 from .engine import SimConfig, run, run_series
-from .graph import GraphFormatError, diameter, dumps_graph, load_graph
+from .graph import diameter, dumps_graph, load_graph
 from .metrics import fit_growth, metrics_csv, refresh_series
 from .policies import PolicyKind, TieBreakSpec
 from .triangulation import dumps_triangulation
@@ -201,7 +201,7 @@ def load_scenario(path, witness: str | None = None) -> tuple[SimConfig, dict]:
     if "file" in graph_raw:
         try:
             g = load_graph(_check(graph_raw["file"], str, "graph.file"))
-        except (OSError, UnicodeDecodeError, GraphFormatError) as exc:
+        except (OSError, ValueError) as exc:  # bad text, a NUL in the name
             raise CliError(f"scenario: graph.file: {exc}")
     elif "family" in graph_raw:
         family = _check(graph_raw["family"], str, "graph.family")
@@ -248,7 +248,8 @@ def load_scenario(path, witness: str | None = None) -> tuple[SimConfig, dict]:
     outputs = raw.get("outputs", {})
     _reject_unknown(outputs, _OUTPUT_KEYS, "outputs.")
     for key, name in outputs.items():
-        _check(name, str, f"outputs.{key}")
+        if "\0" in _check(name, str, f"outputs.{key}"):
+            raise CliError(f"scenario: outputs.{key} holds a NUL character")
     try:
         config = SimConfig(graph=g, policy=policy, starts=starts,
                            horizon=_check(raw["horizon"], int, "horizon"),
@@ -291,6 +292,13 @@ def cmd_simulate(args) -> int:
     paths = [out_dir / outputs.get(key, name) for key, name
              in (("events", "events.csv"), ("metrics", "metrics.csv"),
                  ("summary", "summary.json"))]
+    # two outputs on one file would leave only the one renamed last
+    named = {}
+    for key, path in zip(("events", "metrics", "summary"), paths):
+        other = named.setdefault(os.path.realpath(path), key)
+        if other != key:
+            raise CliError(f"simulate: outputs {other} and {key} are both "
+                           f"written to {path}")
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     try:  # an --out-dir naming a file is an input error
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -318,6 +326,26 @@ def _parse_range(text: str, flag: str) -> list[int]:
         return [int(tok) for tok in text.split(",")]
     except ValueError:
         raise CliError(f"{flag} expects lo..hi or a,b,c, got {text!r}")
+
+
+def _map(fn, jobs) -> list:
+    """``[fn(job) for job in jobs]``.  The jobs run in a pool of
+    ``min(PATROLSIM_WORKERS, len(jobs), CPUs)`` worker processes when that
+    is above 1, and in this process otherwise; PATROLSIM_WORKERS defaults
+    to the CPU count, and 1 keeps every job here.  ``fn`` and the jobs
+    must pickle."""
+    cpus = os.cpu_count() or 1
+    setting = os.environ.get("PATROLSIM_WORKERS")
+    try:
+        wanted = cpus if setting is None else int(setting)
+    except ValueError:
+        raise CliError(f"PATROLSIM_WORKERS must be an integer, "
+                       f"got {setting!r}") from None
+    workers = min(wanted, len(jobs), cpus)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
 
 
 def _sweep_one(job) -> tuple:
@@ -362,16 +390,10 @@ def cmd_sweep(args) -> int:
                     jobs.append((family, params, policy, robots, seed,
                                  args.horizon))
 
-    # a robot count below 1, a negative horizon, an isolated start vertex
-    # or a PATROLSIM_WORKERS that is not an integer is an input error
+    # a robot count below 1, a negative horizon or an isolated start vertex
+    # is an input error
     try:
-        workers = min(int(os.environ.get("PATROLSIM_WORKERS", "1")),
-                      len(jobs), os.cpu_count() or 1)
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_sweep_one, jobs))
-        else:
-            rows = [_sweep_one(job) for job in jobs]
+        rows = _map(_sweep_one, jobs)
     except ValueError as exc:
         raise CliError(f"sweep: {exc}") from exc
 
@@ -415,7 +437,9 @@ def cmd_verify(args) -> int:
     if args.suite not in verify.SUITES:
         raise CliError(f"unknown suite {args.suite!r}; choose from "
                        f"{', '.join(sorted(verify.SUITES))}")
-    results = verify.SUITES[args.suite]()
+    results = [result for results in
+               _map(verify.run_check, verify.SUITES[args.suite])
+               for result in results]
     for result in results:
         print(result.line())
     return 0 if all(r.passed for r in results) else 1

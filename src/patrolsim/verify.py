@@ -2,8 +2,10 @@
 
 Three suites: structural invariants, the theorem-level acceptance checks,
 and differential testing of the engine against the naive reference
-simulator.  Each check returns a CheckResult so both the CLI and the test
-suite can consume them.
+simulator.  Each criterion returns a CheckResult, and the invariants
+check a list of three, so both the CLI and the test suite can consume
+them.  ``SUITES`` names each suite's checks, which ``run_check`` runs one
+at a time, in this process or a worker.
 """
 
 from __future__ import annotations
@@ -395,25 +397,22 @@ def suite_invariants() -> list[CheckResult]:
     return results
 
 
-def suite_theorems() -> list[CheckResult]:
-    return [
-        criterion_coverage(),
-        criterion_frequency_bound(),
-        criterion_lfve_latency(),
-        criterion_quadratic_growth(),
-        criterion_lrv_worst_case(),
-        criterion_multi_robot_speedup(),
-        criterion_flower_ratio(),
-        criterion_ownership(),
-    ]
-
-
-def suite_differential() -> list[CheckResult]:
-    return [criterion_differential()]
-
-
 SUITES = {
-    "invariants": suite_invariants,
-    "theorems": suite_theorems,
-    "differential": suite_differential,
+    "invariants": ("suite_invariants",),
+    "theorems": ("criterion_coverage", "criterion_frequency_bound",
+                 "criterion_lfve_latency", "criterion_quadratic_growth",
+                 "criterion_lrv_worst_case", "criterion_multi_robot_speedup",
+                 "criterion_flower_ratio", "criterion_ownership"),
+    "differential": ("criterion_differential",),
 }
+
+
+def run_check(name: str) -> list[CheckResult]:
+    """The results of the check function ``name`` of this module, one of
+    those listed in ``SUITES``.  The checks are independent, so they may
+    run in any process.  A check is looked up by name when it runs: a
+    worker process is sent only the name, and a function swapped onto the
+    module's attribute (a test's stub, a profiler's wrapper) is the one
+    called."""
+    result = globals()[name]()
+    return result if isinstance(result, list) else [result]

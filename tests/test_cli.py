@@ -411,3 +411,75 @@ def test_sweep_empty_range_exits_2(tmp_path, capsys, flag, value):
     assert err.startswith(f"error: {flag}: empty range ")
     assert err.rstrip().endswith(value.split("=")[-1] + "'")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("outputs,link", [
+    ({"events": "x.csv", "metrics": "x.csv"}, None),
+    ({"events": "summary.json"}, None),
+    ({"summary": "sub/../metrics.csv"}, None),
+    ({"metrics": "link.csv"}, "events.csv"),
+], ids=["same-name", "onto-default", "same-after-dotdot", "through-symlink"])
+def test_simulate_outputs_on_one_file_exit_2(tmp_path, capsys, outputs,
+                                             link):
+    scenario = write_scenario(tmp_path / "s.json", outputs=outputs)
+    out_dir = tmp_path / "o"
+    if link is not None:
+        out_dir.mkdir()
+        (out_dir / "link.csv").symlink_to(link)
+    assert main(["simulate", "--scenario", str(scenario),
+                 "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith("error: simulate: outputs ")
+    assert sorted(p.name for p in tmp_path.rglob("*")) \
+        == (["s.json"] if link is None else ["link.csv", "o", "s.json"])
+
+
+def test_verify_in_process_matches_default(monkeypatch, capsys):
+    runs = []
+    for workers in ("1", None):
+        if workers is None:
+            monkeypatch.delenv("PATROLSIM_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("PATROLSIM_WORKERS", workers)
+        code = main(["verify", "invariants"])
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][1].count("PASS ") == 3
+
+
+@pytest.mark.parametrize("cpus", [16, 8, 2, 1, None])
+def test_verify_pool_is_sized_by_checks_and_cpus(monkeypatch, capsys, cpus):
+    from patrolsim import verify
+    sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda max_workers: RecordingPool(sizes, max_workers))
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.delenv("PATROLSIM_WORKERS", raising=False)
+    for name in verify.SUITES["theorems"]:
+        monkeypatch.setattr(verify, name, lambda name=name: verify.CheckResult(
+            name, name != "criterion_multi_robot_speedup", "stub"))
+    monkeypatch.setattr(verify, "suite_invariants",
+                        lambda: [verify.CheckResult("stub", True, "stub")])
+
+    assert main(["verify", "theorems"]) == 1
+    size = min(cpus or 1, 8)
+    assert sizes == ([size] if size > 1 else [])
+    assert capsys.readouterr().out.splitlines() == [
+        f"{'FAIL' if name == 'criterion_multi_robot_speedup' else 'PASS'} "
+        f"{name}: stub" for name in verify.SUITES["theorems"]]
+
+    assert main(["verify", "invariants"]) == 0  # one check: no pool
+    assert sizes == ([size] if size > 1 else [])
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "invariants"],
+    ["sweep", "--family", "path", "--sweep", "n=4..5", "--policies",
+     "lrv-v", "--horizon", "10"],
+], ids=["verify", "sweep"])
+def test_workers_not_an_integer_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setenv("PATROLSIM_WORKERS", "x")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "PATROLSIM_WORKERS" in err
+    assert list(tmp_path.iterdir()) == []
