@@ -493,6 +493,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # a shell cannot pass a NUL, a caller of main can; no path holds one
+        for name, value in vars(args).items():
+            if isinstance(value, str) and "\0" in value:
+                raise CliError(f"{args.command}: {name} holds a NUL "
+                               "character")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

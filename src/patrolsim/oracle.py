@@ -34,28 +34,42 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
     result is flagged as a lower bound.  The tied sets come from the
     engine's decision kernel.  The walk keeps an explicit stack with a
     frame only where a choice is open, so its depth (the horizon) is not
-    bounded by Python's recursion limit, and it undoes moves from a log.
+    bounded by Python's recursion limit.  It keeps only ``vlast``, for the
+    gaps, and the policy's key list from ``decision_keys``.  A frame copies
+    both for its children to restore, so forced moves log nothing; the
+    copies cost O(frames on the path * (n + m)) ints.  A leaf scans
+    ``min(vlast)`` only if its peak beats the best or a vertex was last
+    seen before round ``horizon - best``: only such leaves raise the best.
     """
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    if node_budget < 0:
+        raise ValueError(f"node_budget must be >= 0, got {node_budget}")
     if not (0 <= start < g.n):
         raise ValueError(f"start vertex {start} out of range")
     if g.degree(start) == 0 and horizon > 0:
         raise ValueError(f"start vertex {start} is isolated")
     vlast, vcnt = [-1] * g.n, [0] * g.n
-    elast, ecnt = [-1] * g.m, [0] * g.m
     vlast[start] = 0
     vcnt[start] = 1
     adj = g.adj
-    keys, slot = decision_keys(policy, g.n, vlast, vcnt, elast, ecnt)
+    keys, slot = decision_keys(policy, g.n, vlast, vcnt, [-1] * g.m,
+                               [0] * g.m)
+    # a move stamps its round on an LRV_E key and bumps an LFV key; LRV_V's
+    # keys are vlast and RANDOM's constant
+    bump = policy in (PolicyKind.LFV_V, PolicyKind.LFV_E)
+    own_keys = bump or policy is PolicyKind.LRV_E
 
     best_peak, best_witness = -1, ()
     nodes = 0
     complete = True
-    # (vertex, edge, its vlast, its elast) before each move on the path
-    undo: list[tuple[int, int, int, int]] = []
+    # vertices last seen before round horizon - best_peak (never counts as
+    # round 0): while there are none, no trailing gap can raise best_peak
+    cutoff, stale = horizon + 1, g.n
     # One frame per branch point on the path, a node whose tied set does
     # not have exactly one entry: [tied set, index of the next child, node
-    # time, node peak, undo log length].  Forced moves get no frame; the
-    # choice taken at a frame is its next index minus one.
+    # time, node peak, node stale, copy of vlast, copy of keys or None].
+    # The choice taken at a frame is its next index minus one.
     stack: list[list] = []
     pos, t, peak = start, 1, 0
     while True:
@@ -65,43 +79,56 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
             complete = False
             break
         if t > horizon:
-            trailing = horizon - max(min(vlast), 0)
-            total = peak if peak > trailing else trailing
-            if total > best_peak:
-                best_peak, best_witness = total, tuple(f[1] - 1 for f in stack)
+            # exactly the leaves whose peak or trailing gap beats the best
+            if peak > best_peak or stale:
+                trailing = horizon - max(min(vlast), 0)
+                best_peak = peak if peak > trailing else trailing
+                best_witness = tuple(f[1] - 1 for f in stack)
+                # the leaf backtracks, so only the frames need a recount
+                cutoff = horizon - best_peak
+                for f in stack:
+                    f[4] = sum(max(v, 0) < cutoff for v in f[5])
             tied = ()
         else:
             tied = tied_entries(adj[pos], keys, slot)
         if len(tied) == 1:
-            pos, eid = tied[0]
+            entry = tied[0]
         else:
             if tied:
-                stack.append([tied, 0, t, peak, len(undo)])
+                stack.append([tied, 0, t, peak, stale, vlast[:],
+                              keys[:] if own_keys else None])
             # backtrack to the deepest frame with a child left
             while stack:
                 frame = stack[-1]
-                tied, idx, t, peak, mark = frame
+                tied, idx = frame[0], frame[1]
                 if idx < len(tied):
                     break
                 stack.pop()
             else:
                 break
-            while len(undo) > mark:
-                w, e, old_v, old_e = undo.pop()
-                vlast[w], elast[e] = old_v, old_e
-                vcnt[w] -= 1
-                ecnt[e] -= 1
+            if idx:  # the first child starts from the frame's own state
+                _, _, t, peak, stale, saved, saved_keys = frame
+                vlast[:] = saved
+                if own_keys:
+                    keys[:] = saved_keys
             frame[1] = idx + 1
-            pos, eid = tied[idx]
-        # move to pos along eid in round t
+            entry = tied[idx]
+        # move to entry's vertex in round t
+        pos = entry[0]
         old = vlast[pos]
-        undo.append((pos, eid, old, elast[eid]))
-        gap = t - (old if old >= 0 else 0)
+        if old < 0:
+            old = 0
+        if old < cutoff <= t:
+            stale -= 1
         vlast[pos] = t
-        vcnt[pos] += 1
-        elast[eid] = t
-        ecnt[eid] += 1
-        t, peak = t + 1, (gap if gap > peak else peak)
+        if t - old > peak:
+            peak = t - old
+        if own_keys:
+            if bump:
+                keys[entry[slot]] += 1
+            else:
+                keys[entry[1]] = t
+        t += 1
     return WorstCaseResult(policy=policy, start=start, horizon=horizon,
                            peak=best_peak, witness=best_witness,
                            complete=complete, nodes_explored=nodes)

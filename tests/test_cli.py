@@ -483,3 +483,18 @@ def test_workers_not_an_integer_exits_2(tmp_path, monkeypatch, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "PATROLSIM_WORKERS" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--scenario", "s.json", "--out-dir", "o\0"],
+    ["sweep", "--family", "path", "--sweep", "n=4..5", "--policies",
+     "lrv-v", "--horizon", "10", "--out-dir", "\0"],
+    ["simulate", "--scenario", "s\0.json"],
+], ids=["simulate-out-dir", "sweep-out-dir", "simulate-scenario"])
+def test_nul_in_path_argument_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    write_scenario(tmp_path / "s.json")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "NUL" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["s.json"]

@@ -1,10 +1,15 @@
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from patrolsim import generators
+from patrolsim import generators, oracle
 from patrolsim.engine import SimConfig, run
 from patrolsim.generators import cycle, four_cycle_chain, path_dual
+from patrolsim.graph import Graph
 from patrolsim.metrics import vertex_peak_refresh
 from patrolsim.oracle import exhaustive_tiebreak_search, reference_run
 from patrolsim.policies import PolicyKind, TieBreakSpec
@@ -159,3 +164,122 @@ def test_search_matches_pins(name, policy):
                                          node_budget=budget)
         assert (res.peak, res.witness, res.complete,
                 res.nodes_explored) == expected, (start, horizon, budget)
+
+
+def test_search_rejects_negative_horizon_and_budget():
+    with pytest.raises(ValueError, match="horizon"):
+        exhaustive_tiebreak_search(cycle(4), PolicyKind.LRV_V, 0, -1)
+    with pytest.raises(ValueError, match="node_budget"):
+        exhaustive_tiebreak_search(cycle(4), PolicyKind.LRV_V, 0, 10,
+                                   node_budget=-5)
+    res = exhaustive_tiebreak_search(cycle(4), PolicyKind.LRV_V, 0, 10,
+                                     node_budget=0)
+    assert (res.peak, res.witness, res.complete,
+            res.nodes_explored) == (-1, (), False, 1)
+
+
+def naive_search(g, policy, start, horizon, budget):
+    """``((peak, witness, complete, nodes_explored), rises)`` by plain
+    recursion over copied state lists, sharing no code with ``oracle``.
+    ``rises`` counts the leaves that raised the best peak."""
+    edges = sorted(tuple(sorted(e)) for e in g.edges)
+    nbrs = {v: [] for v in range(g.n)}
+    for eid, (u, v) in enumerate(edges):
+        nbrs[u].append((v, eid))
+        nbrs[v].append((u, eid))
+    for v in nbrs:
+        nbrs[v].sort()
+    found = {"peak": -1, "witness": (), "rises": 0, "nodes": 0,
+            "stopped": False}
+
+    def key(state, w, eid):
+        vlast, vcnt, elast, ecnt = state
+        return {PolicyKind.LRV_V: vlast[w], PolicyKind.LFV_V: vcnt[w],
+                PolicyKind.LRV_E: elast[eid], PolicyKind.LFV_E: ecnt[eid],
+                PolicyKind.RANDOM: 0}[policy]
+
+    def visit(pos, t, peak, state, choices):
+        found["nodes"] += 1
+        if found["nodes"] > budget:
+            found["stopped"] = True
+            return
+        if t > horizon:
+            trailing = max(horizon - max(x, 0) for x in state[0])
+            if max(peak, trailing) > found["peak"]:
+                found.update(peak=max(peak, trailing), witness=choices)
+                found["rises"] += 1
+            return
+        scored = [(key(state, w, eid), w, eid) for w, eid in nbrs[pos]]
+        lowest = min(s for s, _, _ in scored)
+        tied = [(w, eid) for s, w, eid in scored if s == lowest]
+        if policy in (PolicyKind.LRV_E, PolicyKind.LFV_E):
+            tied.sort(key=lambda we: we[1])
+        for i, (w, eid) in enumerate(tied):
+            vlast, vcnt, elast, ecnt = (list(x) for x in state)
+            gap = t - max(vlast[w], 0)
+            vlast[w], elast[eid] = t, t
+            vcnt[w] += 1
+            ecnt[eid] += 1
+            visit(w, t + 1, max(peak, gap), (vlast, vcnt, elast, ecnt),
+                  choices + ((i,) if len(tied) > 1 else ()))
+            if found["stopped"]:
+                return
+
+    vlast, vcnt = [-1] * g.n, [0] * g.n
+    vlast[start], vcnt[start] = 0, 1
+    visit(start, 1, 0, (vlast, vcnt, [-1] * g.m, [0] * g.m), ())
+    return ((found["peak"], found["witness"], not found["stopped"],
+             found["nodes"]), found["rises"])
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree on 2..8 vertices plus random extra edges,
+    under a random labelling."""
+    n = draw(st.integers(2, 8))
+    label = draw(st.permutations(range(n)))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    others = [(u, v) for v in range(n) for u in range(v)
+              if (u, v) not in edges]
+    if others:
+        edges |= set(draw(st.lists(st.sampled_from(others), max_size=6)))
+    return Graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+@given(connected_graphs(), st.sampled_from(list(PolicyKind)), st.data(),
+       st.integers(0, 10), st.integers(0, 50) | st.integers(0, 2_000))
+@settings(max_examples=200, deadline=None)
+def test_search_matches_naive_recursion(g, policy, data, horizon, budget):
+    # budgets run from inside forced chains and past a best peak's rises to
+    # beyond the whole tree
+    start = data.draw(st.integers(0, g.n - 1))
+    scans = []
+
+    def counted_min(values):
+        scans.append(None)
+        return min(values)
+
+    with mock.patch.object(oracle, "min", counted_min, create=True):
+        res = exhaustive_tiebreak_search(g, policy, start, horizon,
+                                         node_budget=budget)
+    expected, rises = naive_search(g, policy, start, horizon, budget)
+    assert (res.peak, res.witness, res.complete,
+            res.nodes_explored) == expected
+    # a leaf scans min(vlast) only where its peak or trailing gap beats the
+    # best, which is exactly where the best rises
+    assert len(scans) == rises
+
+
+def test_search_snapshot_memory_is_bounded():
+    # every node of a RANDOM search on a degree-3 graph is a branch point,
+    # so the path keeps up to a horizon's worth of vlast copies
+    g = generators.grid_triangulation(5, 5).dual
+    tracemalloc.start()
+    try:
+        res = exhaustive_tiebreak_search(g, PolicyKind.RANDOM, 0, 2_000,
+                                         node_budget=20_000)
+        traced_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not res.complete
+    assert traced_peak < 3_000_000
