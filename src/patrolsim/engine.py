@@ -5,8 +5,9 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass
-from itertools import chain, cycle
-from operator import getitem
+from collections import Counter
+from itertools import chain, cycle, repeat
+from typing import Iterator
 
 from .graph import Graph
 from .metrics import RefreshMeter, RefreshSeries
@@ -52,8 +53,13 @@ EVENTS_CHUNK = 8192  # events formatted per write by Trace.write_events_csv
 
 @dataclass
 class Trace:
+    """A recorded run.  ``moves`` holds one arc id of ``graph.arcs`` per
+    move, in the order they were made: round by round, and within a round
+    by ascending robot id.  Every robot placed moves once a round, so the
+    round and robot of a move follow from its position and the marks."""
+
     config: SimConfig
-    events: tuple[Event, ...]
+    moves: tuple[int, ...]
     marks: tuple[Mark, ...]
     vertex_visit_counts: tuple[int, ...]
     edge_traversal_counts: tuple[int, ...]
@@ -66,26 +72,55 @@ class Trace:
     def horizon(self) -> int:
         return self.config.horizon
 
+    def round_spans(self) -> Iterator[tuple[int, int, int]]:
+        """``(first round, last round, robots)`` for the spans of rounds
+        1..horizon between arrivals: in each round of a span, robots
+        ``0..robots-1`` move once each.  A span whose robots have not
+        arrived yet has ``robots == 0``."""
+        arrivals = Counter(t for t, _, _ in self.marks)
+        robots, first = arrivals.pop(0, 0), 1
+        for t in sorted(arrivals) + [self.horizon + 1]:
+            if first < t:
+                yield first, t - 1, robots
+            robots += arrivals[t]
+            first = t
+
+    @property
+    def events(self) -> tuple[Event, ...]:
+        """Every move as ``(round, robot, from, edge, to)``, built from
+        ``moves`` on each read."""
+        arcs, moves = self.graph.arcs, iter(self.moves)
+        return tuple((t, rid, *arcs[a])
+                     for first, last, robots in self.round_spans()
+                     for t in range(first, last + 1)
+                     for rid, a in zip(range(robots), moves))
+
     def events_csv(self) -> str:
         self.write_events_csv(out := io.StringIO())
         return out.getvalue()
 
     def write_events_csv(self, file) -> None:
-        """Write ``events_csv()`` to ``file`` EVENTS_CHUNK events at a time.
-        Each field's text is looked up by value: ``"i,"`` by id, ``"v\\n"``
-        by to vertex and ``"t,"`` in a dict of the chunk's rounds."""
+        """Write ``events_csv()`` to ``file`` in whole rounds, about
+        EVENTS_CHUNK events a write.  A row joins three texts looked up
+        by value: ``"t,"``, ``"rid,"`` by robot id and ``"from,edge,to\n"``
+        by arc id."""
         file.write("round,robot,from,edge,to\n")
-        g, events = self.graph, self.events
-        robots = len(self.config.starts) + len(self.config.arrivals)
-        ids = [f"{i}," for i in range(max(g.n, g.m, robots))]
-        ends = [f"{v}\n" for v in range(g.n)]
-        for i in range(0, len(events), EVENTS_CHUNK):
-            chunk = events[i:i + EVENTS_CHUNK]
-            first, last = chunk[0][0], chunk[-1][0]
-            rounds = {t: f"{t}," for t in range(first, last + 1)}
-            tables = cycle((rounds, ids, ids, ids, ends))
-            file.write("".join(map(getitem, tables,
-                                   chain.from_iterable(chunk))))
+        moves = self.moves
+        arc_text = [f"{u},{e},{w}\n" for u, e, w in self.graph.arcs]
+        done = 0
+        for first, last, robots in self.round_spans():
+            if not robots:
+                continue
+            rids = [f"{i}," for i in range(robots)]
+            per = max(1, EVENTS_CHUNK // robots)  # rounds a write
+            for lo in range(first, last + 1, per):
+                hi = min(lo + per, last + 1)
+                chunk = moves[done:done + robots * (hi - lo)]
+                done += len(chunk)
+                rounds = chain.from_iterable(
+                    repeat(f"{t},", robots) for t in range(lo, hi))
+                file.write("".join(chain.from_iterable(zip(
+                    rounds, cycle(rids), map(arc_text.__getitem__, chunk)))))
 
     def summary_json(self) -> str:
         payload = {
@@ -96,7 +131,7 @@ class Trace:
             "n": self.graph.n,
             "m": self.graph.m,
             "robots": len(self.config.starts) + len(self.config.arrivals),
-            "events": len(self.events),
+            "events": len(self.moves),
             "vertex_visit_counts": list(self.vertex_visit_counts),
             "edge_traversal_counts": list(self.edge_traversal_counts),
         }
@@ -107,10 +142,10 @@ class SimState:
     """Mutable state of one run, as flat lists indexed by vertex or edge
     id: ``vlast``/``elast`` hold the last visit/traversal round (-1 for
     never) and ``vcnt``/``ecnt`` the counts.  ``robots[i]`` is the position
-    of robot ``i``.  ``events`` and ``marks`` are None when the run does
-    not record them.  A ``meter``, when given, is fed every visit: the
-    visits gather in ``visits``, as the meter's stream, until ``step``
-    returns or FEED_BATCH of them are held."""
+    of robot ``i``.  ``moves`` (arc ids, see ``Trace``) and ``marks`` are
+    None when the run does not record them.  A ``meter``, when given, is
+    fed every visit: the visits gather in ``visits``, as the meter's
+    stream, until ``step`` returns or FEED_BATCH of them are held."""
 
     def __init__(self, config: SimConfig, record: bool = True,
                  meter: RefreshMeter | None = None):
@@ -122,7 +157,7 @@ class SimState:
         self.elast = [-1] * g.m
         self.ecnt = [0] * g.m
         self.robots: list[int] = []
-        self.events: list[Event] | None = [] if record else None
+        self.moves: list[int] | None = [] if record else None
         self.marks: list[Mark] | None = [] if record else None
         self.meter = meter
         self.visits: list[int] | None = None if meter is None else []
@@ -152,7 +187,7 @@ def init(config: SimConfig, record: bool = True,
          meter: RefreshMeter | None = None) -> SimState:
     """Round 0: place the initial robots and mark their start vertices.
 
-    With ``record`` false the run keeps no events or marks; a ``meter`` is
+    With ``record`` false the run keeps no moves or marks; a ``meter`` is
     fed every visit, these marks included."""
     state = SimState(config, record, meter)
     for v in config.starts:
@@ -180,24 +215,24 @@ def step(state: SimState, rounds: int = 1) -> SimState:
     left = state.config.horizon - state.round
     if not 0 <= rounds <= left:
         raise ValueError(f"{rounds} rounds asked, {left} left to the horizon")
-    adj, keys, slot = state.graph.adj, state.keys, state.slot
+    out, keys, slot = state.graph.out, state.keys, state.slot
     vlast, vcnt, elast, ecnt = state.vlast, state.vcnt, state.elast, state.ecnt
-    robots, events, pending = state.robots, state.events, state._pending
+    robots, moves, pending = state.robots, state.moves, state._pending
     choose, visits = state.tiebreak.choose, state.visits
     for t in range(state.round + 1, state.round + rounds + 1):
         state.round = t
         if pending and pending[0][0] <= t:
             state._activate_arrivals()
         for rid, pos in enumerate(robots):
-            tied = tied_entries(adj[pos], keys, slot)
+            tied = tied_entries(out[pos], keys, slot)
             if len(tied) == 1:
-                to, via = tied[0]
+                to, via, arc = tied[0]
             elif tied:
-                to, via = tied[choose(len(tied))]
+                to, via, arc = tied[choose(len(tied))]
             else:
                 raise IsolatedVertexError(f"vertex {pos} has no neighbors")
-            if events is not None:
-                events.append((t, rid, pos, via, to))
+            if moves is not None:
+                moves.append(arc)
             robots[rid] = to
             vlast[to] = t
             vcnt[to] += 1
@@ -226,11 +261,11 @@ def finish(state: SimState) -> SimState:
 
 
 def run(config: SimConfig) -> Trace:
-    """``init`` plus a step of ``horizon`` rounds, every event and mark
+    """``init`` plus a step of ``horizon`` rounds, every move and mark
     recorded."""
     state = finish(step(init(config), config.horizon))
     return Trace(config=config,
-                 events=tuple(state.events),
+                 moves=tuple(state.moves),
                  marks=tuple(state.marks),
                  vertex_visit_counts=tuple(state.vcnt),
                  edge_traversal_counts=tuple(state.ecnt))
@@ -238,7 +273,7 @@ def run(config: SimConfig) -> Trace:
 
 def run_series(config: SimConfig, after: int = 0) -> RefreshSeries:
     """``refresh_series(run(config), after)`` from a run that records no
-    events or marks: the metrics are kept as it steps."""
+    moves or marks: the metrics are kept as it steps."""
     meter = RefreshMeter(config.graph.n, after)
     finish(step(init(config, record=False, meter=meter), config.horizon))
     return meter.series()

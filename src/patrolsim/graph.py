@@ -60,9 +60,14 @@ class Graph:
     sorted lexicographically; edge ids are positions in that order.  The
     canonical order makes every downstream iteration (and hence every
     lowest-id tie-break) reproducible regardless of input edge order.
+
+    ``adj[v]`` lists the entries ``(neighbor, edge id)`` of v.  Each entry
+    is also a directed edge, an arc, numbered in ``adj`` order:
+    ``arcs[a]`` is ``(from, edge id, to)``, and ``out[v]`` lists
+    ``(neighbor, edge id, arc id)`` in the order of ``adj[v]``.
     """
 
-    __slots__ = ("n", "edges", "adj", "meta")
+    __slots__ = ("n", "edges", "adj", "arcs", "out", "meta")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  meta: Mapping[str, str] | None = None):
@@ -79,6 +84,14 @@ class Graph:
             adj[v].append((u, eid))
         self.adj: tuple[tuple[tuple[int, int], ...], ...] = tuple(
             tuple(sorted(entries)) for entries in adj)
+        arcs: list[tuple[int, int, int]] = []
+        out: list[tuple[tuple[int, int, int], ...]] = []
+        for v, entries in enumerate(self.adj):
+            out.append(tuple((w, eid, len(arcs) + i)
+                             for i, (w, eid) in enumerate(entries)))
+            arcs.extend((v, eid, w) for w, eid in entries)
+        self.arcs = tuple(arcs)
+        self.out = tuple(out)
         self.meta: dict[str, str] = dict(meta or {})
 
     @property

@@ -7,7 +7,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
-from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
@@ -101,28 +100,20 @@ class RefreshMeter:
 
 def _visits(trace: Trace) -> Iterator[int]:
     """``trace`` as a ``RefreshMeter`` stream: for each round 0..horizon,
-    its arrival marks, its moves, then ``CLOSE``.
-
-    Every robot placed moves once a round, so between two arrival rounds
-    each round has as many moves as robots, and those rounds are cut out of
-    the events by count."""
+    its arrival marks, its moves' to vertices, then ``CLOSE``.  The rounds
+    of each span between arrivals are cut out of the moves by count."""
     close = RefreshMeter.CLOSE
     placed: dict[int, list[int]] = {}
     for t, _, v in trace.marks:
         placed.setdefault(t, []).append(v)
-    moves = map(itemgetter(4), trace.events)
+    heads = [w for _, _, w in trace.graph.arcs]
+    moves = map(heads.__getitem__, trace.moves)
     parts: list[Iterable[int]] = [placed.get(0, ()), (close,)]
-    robots, t = len(parts[0]), 1
-    for arrival in sorted(placed.keys() - {0}) + [trace.horizon + 1]:
-        if robots:  # rounds t..arrival-1
-            rounds = islice(moves, robots * (arrival - t))
-            parts.append(chain.from_iterable(
-                zip(*[rounds] * robots, repeat(close))))
-        else:
-            parts.append(repeat(close, arrival - t))
-        parts.append(placed.get(arrival, ()))
-        robots += len(parts[-1])
-        t = arrival
+    for first, last, robots in trace.round_spans():
+        rounds = islice(moves, robots * (last - first + 1))
+        parts.append(placed.get(first, ()))
+        parts.append(chain.from_iterable(
+            zip(*[rounds] * robots, repeat(close, last - first + 1))))
     return chain.from_iterable(parts)
 
 

@@ -383,17 +383,17 @@ def suite_invariants() -> list[CheckResult]:
     cfg = SimConfig(graph=g, policy=PolicyKind.LRV_V, starts=(0, 5),
                     horizon=300, tiebreak=TieBreakSpec.seeded_random(3))
     t1, t2 = run(cfg), run(cfg)
-    det = t1.events == t2.events and t1.marks == t2.marks
+    det = t1.moves == t2.moves and t1.marks == t2.marks
     results.append(CheckResult("run-determinism", det,
                                "identical traces on repeated runs"
                                if det else "traces diverged"))
 
     total = sum(t1.vertex_visit_counts)
-    conserved = total == len(t1.events) + len(t1.marks)
+    conserved = total == len(t1.moves) + len(t1.marks)
     results.append(CheckResult("visit-conservation", conserved,
                                f"{total} visits = {len(t1.marks)} markings "
-                               f"+ {len(t1.events)} moves" if conserved
-                               else "visit counts do not sum to events"))
+                               f"+ {len(t1.moves)} moves" if conserved
+                               else "visit counts do not sum to marks and moves"))
     return results
 
 

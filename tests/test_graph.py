@@ -55,6 +55,22 @@ def test_adjacency_symmetric_with_same_edge_id():
     assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m
 
 
+@pytest.mark.parametrize("g", [cycle(4), path_dual(1), four_cycle_chain(3),
+                               diamond_gadget_chain(2)],
+                         ids=["cycle4", "path1", "four-cycle-chain3",
+                              "diamond-chain2"])
+def test_arcs_number_the_adjacency_entries(g):
+    # arc ids run over adj in order: out[v] extends adj[v] by the id, and
+    # arcs[id] reads the entry back as (from, edge, to)
+    assert len(g.arcs) == 2 * g.m
+    assert [a for v in range(g.n) for _, _, a in g.out[v]] \
+        == list(range(2 * g.m))
+    for v in range(g.n):
+        assert [(w, eid) for w, eid, _ in g.out[v]] == list(g.adj[v])
+        for w, eid, a in g.out[v]:
+            assert g.arcs[a] == (v, eid, w)
+
+
 def test_diameter_examples():
     assert diameter(cycle(6)) == 3
     assert diameter(path_dual(5)) == 4

@@ -107,7 +107,7 @@ def stepping_config(seed, pol_idx, kind, horizon, arrive):
 
 
 def state_facts(state):
-    return (state.round, list(state.robots), list(state.events),
+    return (state.round, list(state.robots), list(state.moves),
             list(state.marks), list(state.vlast), list(state.vcnt),
             list(state.elast), list(state.ecnt), state.tiebreak.unread)
 

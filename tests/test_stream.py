@@ -170,17 +170,34 @@ def peak_growth(make, horizons):
     return peaks[-1] - peaks[-2]
 
 
-def test_run_series_memory_holds_no_events():
-    # 3 robots for 10x the rounds: a metrics-only run grows by its O(horizon)
-    # rows alone, a recorded one by 3 event tuples a round
+def memory_config(robots):
     g = random_connected_graph(11)
+    return lambda horizon: SimConfig(graph=g, policy=PolicyKind.LRV_V,
+                                     starts=tuple(range(robots)),
+                                     horizon=horizon)
 
-    def config(horizon):
-        return SimConfig(graph=g, policy=PolicyKind.LRV_V, starts=(0, 1, 2),
-                         horizon=horizon)
 
-    horizons = (2_000, 2_000, 20_000)  # the first run warms up caches
-    series_growth = peak_growth(lambda h: run_series(config(h)), horizons)
-    trace_growth = peak_growth(lambda h: run(config(h)), horizons[1:])
-    assert series_growth < 2**20
-    assert 4 * series_growth < trace_growth
+HORIZONS = (2_000, 2_000, 20_000)  # the first run warms up caches
+
+
+def test_run_series_memory_holds_no_events():
+    # 3 and 9 robots for 10x the rounds: a metrics-only run grows by its
+    # O(horizon) rows alone, however many robots move.  A run that kept one
+    # int per move would grow by 8 bytes or more for each of the 9-robot
+    # run's 6 * 18,000 extra moves
+    series_growth = {}
+    for robots in (3, 9):
+        config = memory_config(robots)
+        series_growth[robots] = peak_growth(lambda h: run_series(config(h)),
+                                            HORIZONS)
+    assert series_growth[3] < 2**20
+    assert series_growth[9] - series_growth[3] < 6 * 18_000
+
+
+def test_recorded_run_memory_per_move():
+    # a recorded run holds one arc id a move, in a list and then in the
+    # trace's tuple: about 16 bytes a move.  A stored event tuple would
+    # cost 80 bytes or more
+    config = memory_config(3)
+    trace_growth = peak_growth(lambda h: run(config(h)), HORIZONS)
+    assert trace_growth <= 24 * 3 * 18_000

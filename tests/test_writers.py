@@ -1,19 +1,23 @@
 """The output writers against the row formulas they replaced: ``events.csv``
-as one ``%d`` format per event, ``metrics.csv`` as one f-string per round."""
+as one ``%d`` format per event, ``metrics.csv`` as one f-string per round.
+A trace keeps one arc id per move, so the arrival rounds that fix each
+move's round and robot are checked against the reference simulator."""
 
 import io
 import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from patrolsim import engine
-from patrolsim.engine import SimConfig, run
+from patrolsim.engine import SimConfig, run, run_series
 from patrolsim.generators import cycle
-from patrolsim.metrics import RefreshSeries, metrics_csv
+from patrolsim.metrics import RefreshSeries, metrics_csv, refresh_series
+from patrolsim.oracle import reference_run
 from patrolsim.policies import PolicyKind, TieBreakSpec
+from test_properties import random_connected_graph
 from test_stream import random_config
 
 
@@ -69,6 +73,32 @@ def test_events_writers_on_cycle3(robots, horizon):
         assert engine.EVENTS_CHUNK < len(trace.events) \
             < 2 * engine.EVENTS_CHUNK
     assert_writers_match(trace)
+
+
+@given(st.integers(0, 10**9), st.integers(0, 4), st.integers(0, 30),
+       st.integers(0, 2), st.lists(st.integers(0, 3), min_size=1, max_size=6),
+       st.integers(1, 7))
+@example(seed=5, pol_idx=0, horizon=9, starts=0, slots=[1, 1, 0], chunk=2)
+@settings(max_examples=150, deadline=None)
+def test_arrival_rounds_equal_reference(seed, pol_idx, horizon, starts,
+                                        slots, chunk):
+    # arrivals at up to three late rounds and at the horizon (slot 0); a
+    # slot drawn twice brings robots in together, and with no starts the
+    # rounds before the first arrival have no moves
+    g = random_connected_graph(seed)
+    rng = random.Random(seed)
+    rounds = [horizon] + [rng.randint(min(1, horizon), horizon)
+                          for _ in range(3)]
+    cfg = SimConfig(graph=g, policy=tuple(PolicyKind)[pol_idx],
+                    starts=tuple(rng.randrange(g.n) for _ in range(starts)),
+                    arrivals=tuple((rounds[s], rng.randrange(g.n))
+                                   for s in slots),
+                    horizon=horizon, tiebreak=TieBreakSpec.seeded_random(seed))
+    trace, ref = run(cfg), reference_run(cfg)
+    assert trace.events == ref.events
+    with mock.patch.object(engine, "EVENTS_CHUNK", chunk):
+        assert trace.events_csv() == reference_events_csv(ref)
+    assert refresh_series(trace) == run_series(cfg)
 
 
 def test_metrics_csv_equals_reference():
