@@ -189,6 +189,8 @@ def load_scenario(path, witness: str | None = None) -> tuple[SimConfig, dict]:
         raise CliError(f"scenario: {exc}")
     except json.JSONDecodeError as exc:
         raise CliError(f"scenario: invalid JSON: {exc}")
+    except RecursionError:
+        raise CliError("scenario: invalid JSON: nested too deeply")
     if not isinstance(raw, dict):
         raise CliError("scenario: top level must be an object")
     _reject_unknown(raw, _SCENARIO_KEYS, "")

@@ -152,9 +152,34 @@ def decision_keys(policy: PolicyKind, n: int, vlast: list[int],
 
 
 def tied_entries(entries, keys: list[int], slot: int) -> list:
-    """The entries minimizing ``keys[entry[slot]]``, in their given order;
-    empty for no entries.  One pass, so it runs once per robot move and
-    once per search node."""
+    """The entries minimizing ``keys[entry[slot]]``, in their given order,
+    as a new list; empty for no entries.  It runs once per robot move and
+    once per search node.
+
+    Two and three entries, the degrees of a triangulation dual's boundary
+    and inner triangles, take straight-line comparisons; other sizes take
+    the loop.  Both return the same list."""
+    n = len(entries)
+    if n == 3:
+        a, b, c = entries
+        ka, kb, kc = keys[a[slot]], keys[b[slot]], keys[c[slot]]
+        if ka < kb:
+            if ka < kc:
+                return [a]
+            return [a, c] if ka == kc else [c]
+        if kb < ka:
+            if kb < kc:
+                return [b]
+            return [b, c] if kb == kc else [c]
+        if ka < kc:
+            return [a, b]
+        return [a, b, c] if ka == kc else [c]
+    if n == 2:
+        a, b = entries
+        ka, kb = keys[a[slot]], keys[b[slot]]
+        if ka < kb:
+            return [a]
+        return [b] if kb < ka else [a, b]
     best = _NO_KEY
     tied = []
     for entry in entries:

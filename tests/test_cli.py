@@ -398,6 +398,24 @@ def test_simulate_unreadable_scenario_exits_2(tmp_path, capsys, setup,
     assert not (tmp_path / "o").exists()
 
 
+def test_simulate_deeply_nested_scenario_exits_2(tmp_path):
+    # json.loads raises RecursionError, not JSONDecodeError, on this; the
+    # fuzz cannot reach it, since json.dumps fails at the same depth
+    (tmp_path / "s.json").write_text("[" * 20000)
+    src = str(Path(patrolsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "patrolsim.cli", "simulate", "--scenario",
+         str(tmp_path / "s.json"), "--out-dir", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    # one error line, no traceback
+    assert proc.stderr == ("error: scenario: invalid JSON: nested too "
+                           "deeply\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--sweep", "n=5..3"), ("--seeds", "1..0"), ("--robots", "3..1"),
 ], ids=["sweep", "seeds", "robots"])

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -138,6 +139,30 @@ def test_decide_is_pure():
     tied_at(g, PolicyKind.LFV_V, 0, state)
     assert [list(keys) for keys in state] == before
     assert g.adj[0] is entries and entries == ((1, 0), (3, 1))
+
+
+@pytest.mark.parametrize("shape", [2, 3], ids=["adj", "out"])
+@pytest.mark.parametrize("slot", [0, 1])
+def test_tied_entries_equals_naive_minimum(slot, shape):
+    # every assignment of keys from {-1, 0, 1} to 0-5 entries: the
+    # straight-line paths for 2 and 3 entries and the loop must all keep
+    # exactly the least-key entries in their given order
+    for k in range(6):
+        # entry i reads keys[i] through the slot; its other field reads a
+        # distinct key above all of them, so reading the wrong slot shows
+        off = [10 - i for i in range(k)]
+        entries = tuple(((i, k + i) if slot == 0 else (k + i, i))
+                        + (100 + i,) * (shape - 2) for i in range(k))
+        for assignment in itertools.product((-1, 0, 1), repeat=k):
+            keys = list(assignment) + off
+            naive = [e for e in entries
+                     if keys[e[slot]] == min(keys[x[slot]] for x in entries)]
+            tied = tied_entries(entries, keys, slot)
+            assert tied == naive, (entries, keys, slot)
+            # a search frame keeps its tied set while later calls run
+            again = tied_entries(entries, keys, slot)
+            assert type(tied) is list and tied is not again
+            assert keys == list(assignment) + off
 
 
 def test_tiebreak_spec_unknown_kind():
