@@ -29,53 +29,39 @@ from typing import Mapping
 from .graph import Graph
 from .triangulation import Triangulation
 
-FAMILIES = ("path", "cycle", "four_cycle_chain", "diamond_gadget_chain",
-            "flower_barrier", "grid_triangulation")
-
 
 @dataclass(frozen=True)
 class FamilySpec:
+    """A family and its parameters.  The name may be spelled with ``-`` or
+    ``_`` (``four-cycle-chain``), and ``grid`` is short for
+    ``grid_triangulation``; ``family`` holds the underscore name."""
     family: str
     params: Mapping[str, int]
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+        family = "grid_triangulation" if self.family == "grid" \
+            else self.family.replace("-", "_")
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}; choose from "
+                             f"{', '.join(FAMILIES)} or grid ('-' may stand "
+                             "for '_')")
+        object.__setattr__(self, "family", family)
         object.__setattr__(self, "params", dict(self.params))
-        required = _REQUIRED_PARAMS[self.family]
+        required = _FAMILIES[family][1]
         missing = [p for p in required if p not in self.params]
         if missing:
-            raise ValueError(f"{self.family}: missing params {missing}")
+            raise ValueError(f"{family}: missing params {missing}")
         extra = [p for p in self.params if p not in required]
         if extra:
-            raise ValueError(f"{self.family}: unknown params {extra}")
+            raise ValueError(f"{family}: unknown params {extra}")
         for name, value in self.params.items():
             if int(value) < 1:
-                raise ValueError(f"{self.family}: param {name} must be >= 1")
+                raise ValueError(f"{family}: param {name} must be >= 1")
 
     def build(self) -> Graph:
         """The family's graph; for grid_triangulation, its dual graph."""
-        if self.family == "path":
-            return path_dual(self.params["n"])
-        if self.family == "cycle":
-            return cycle(self.params["n"])
-        if self.family == "four_cycle_chain":
-            return four_cycle_chain(self.params["k"])
-        if self.family == "diamond_gadget_chain":
-            return diamond_gadget_chain(self.params["k"])
-        if self.family == "flower_barrier":
-            return flower_barrier(self.params["delta"], self.params["stair_len"])
-        return grid_triangulation(self.params["w"], self.params["h"]).dual
-
-
-_REQUIRED_PARAMS = {
-    "path": ("n",),
-    "cycle": ("n",),
-    "four_cycle_chain": ("k",),
-    "diamond_gadget_chain": ("k",),
-    "flower_barrier": ("delta", "stair_len"),
-    "grid_triangulation": ("w", "h"),
-}
+        built = _FAMILIES[self.family][0](**self.params)
+        return built.dual if isinstance(built, Triangulation) else built
 
 
 def path_dual(n: int) -> Graph:
@@ -199,3 +185,15 @@ def grid_triangulation(w: int, h: int) -> Triangulation:
                           "w": str(w), "h": str(h),
                           "triangulation_dual": "yes"})
     return tri
+
+
+# family -> (its function, parameter names); the function takes exactly these
+_FAMILIES = {
+    "path": (path_dual, ("n",)),
+    "cycle": (cycle, ("n",)),
+    "four_cycle_chain": (four_cycle_chain, ("k",)),
+    "diamond_gadget_chain": (diamond_gadget_chain, ("k",)),
+    "flower_barrier": (flower_barrier, ("delta", "stair_len")),
+    "grid_triangulation": (grid_triangulation, ("w", "h")),
+}
+FAMILIES = tuple(_FAMILIES)

@@ -10,7 +10,7 @@ import pytest
 import patrolsim
 from patrolsim import cli
 from patrolsim.cli import main
-from patrolsim.graph import load_graph
+from patrolsim.graph import dumps_graph, load_graph
 from patrolsim.triangulation import load_triangulation
 
 
@@ -69,10 +69,31 @@ def test_generate_errors(tmp_path, capsys):
     (["sweep", "--family", "path", "--sweep", "n=4..5", "--policies",
       "lrv-v", "--horizon", "10", "--out-dir", "{tmp}/file"],
      "File exists"),
+    (["search", "torus", "n=3", "--policy", "lrv-v", "--horizon", "10",
+      "--out", "{tmp}/w.txt"], "unknown family 'torus'"),
+    (["search", "four-cycle-chain", "k", "--policy", "lrv-v",
+      "--horizon", "10", "--out", "{tmp}/w.txt"], "expected name=value"),
+    (["search", "four-cycle-chain", "k=2", "--policy", "lrv-v",
+      "--horizon", "10", "--out", "{tmp}/missing/w.txt"],
+     "No such file or directory"),
+    (["search", "four-cycle-chain", "k=2", "--policy", "lrv-x",
+      "--horizon", "10", "--out", "{tmp}/w.txt"], "unknown policy 'lrv-x'"),
+    (["search", "four-cycle-chain", "k=2", "--policy", "lrv-v",
+      "--start", "8", "--horizon", "10", "--out", "{tmp}/w.txt"],
+     "start vertex 8 out of range"),
+    (["search", "four-cycle-chain", "k=2", "--policy", "lrv-v",
+      "--horizon", "-1", "--out", "{tmp}/w.txt"], "horizon must be >= 0"),
+    (["search", "four-cycle-chain", "k=2", "--policy", "lrv-v",
+      "--horizon", "10", "--budget", "-1", "--out", "{tmp}/w.txt"],
+     "node_budget must be >= 0"),
 ], ids=["generate-cycle-n2", "generate-flower-delta1",
         "generate-missing-dir", "generate-grid-missing-dir",
         "generate-onto-dir", "simulate-out-dir-file",
-        "simulate-out-dir-under-file", "sweep-out-dir-file"])
+        "simulate-out-dir-under-file", "sweep-out-dir-file",
+        "search-unknown-family", "search-param-without-value",
+        "search-missing-dir", "search-unknown-policy",
+        "search-start-out-of-range", "search-negative-horizon",
+        "search-negative-budget"])
 def test_bad_family_params_and_output_paths_exit_2(tmp_path, capsys, argv,
                                                    message):
     write_scenario(tmp_path / "s.json")
@@ -80,6 +101,71 @@ def test_bad_family_params_and_output_paths_exit_2(tmp_path, capsys, argv,
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and not (tmp_path / "w.txt").exists()
+
+
+# each family with parameters, and every name it may be given by
+FAMILY_NAMES = [
+    ("path", {"n": 5}, ["path"]),
+    ("cycle", {"n": 5}, ["cycle"]),
+    ("four_cycle_chain", {"k": 3}, ["four_cycle_chain", "four-cycle-chain"]),
+    ("diamond_gadget_chain", {"k": 2},
+     ["diamond_gadget_chain", "diamond-gadget-chain"]),
+    ("flower_barrier", {"delta": 3, "stair_len": 3},
+     ["flower_barrier", "flower-barrier"]),
+    ("grid_triangulation", {"w": 2, "h": 3},
+     ["grid_triangulation", "grid-triangulation", "grid"]),
+]
+
+
+@pytest.mark.parametrize("family,params,name", [
+    pytest.param(family, params, name, id=name)
+    for family, params, names in FAMILY_NAMES for name in names])
+def test_family_spellings_give_one_graph(tmp_path, capsys, family, params,
+                                         name):
+    tokens = [f"{k}={v}" for k, v in params.items()]
+    texts = []
+    for i, spelling in enumerate((family, name)):
+        out = tmp_path / f"{i}.graph"
+        assert main(["generate", spelling, *tokens, "--out", str(out)]) == 0
+        texts.append([p.read_bytes() for p in sorted(tmp_path.glob(f"{i}.*"))])
+    assert texts[0] == texts[1]
+    assert load_graph(tmp_path / "0.graph").meta["family"] == family
+
+    scenario = write_scenario(tmp_path / "s.json",
+                              graph={"family": name, "params": params})
+    config, _ = cli.load_scenario(scenario)
+    assert dumps_graph(config.graph).encode() == texts[0][0]
+
+
+def test_search_witness_replays_to_its_peak(tmp_path, capsys):
+    witness = tmp_path / "w.txt"
+    assert main(["search", "four-cycle-chain", "k=3", "--policy", "lrv-v",
+                 "--horizon", "120", "--out", str(witness)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    fields = dict(tok.split("=") for tok in out[0].split())
+    assert fields["complete"] == "True"
+    assert int(fields["witness_choices"]) == len(witness.read_text().split())
+    assert out[1] == f"wrote {witness}"
+
+    scenario = write_scenario(
+        tmp_path / "s.json", horizon=120,
+        graph={"family": "four-cycle-chain", "params": {"k": 3}})
+    assert main(["simulate", "--scenario", str(scenario),
+                 "--witness", str(witness),
+                 "--out-dir", str(tmp_path / "o")]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["peak_refresh"] == int(fields["peak"])
+
+
+def test_search_over_budget_exits_0_incomplete(tmp_path, capsys):
+    witness = tmp_path / "w.txt"
+    assert main(["search", "four_cycle_chain", "k=3", "--policy", "lfv-v",
+                 "--horizon", "60", "--budget", "500",
+                 "--out", str(witness)]) == 0
+    out = capsys.readouterr().out
+    assert " complete=False nodes_explored=501 " in out
+    assert not out.startswith("peak=-1 ") and witness.read_text() != "\n"
 
 
 def test_simulate_outputs(tmp_path, capsys):
@@ -207,6 +293,37 @@ def test_simulate_bad_scenario_exits_2(tmp_path, capsys, overrides, message):
                  "--out-dir", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("flags,edits", [
+    ([], {}),
+    (["--policy", ""], {}),
+    (["--policy", "lfv-e", "--seed", "3", "--horizon", "50"],
+     {"policy": "lfv-e", "seed": 3, "horizon": 50}),
+], ids=["none", "empty-policy", "all-three"])
+def test_simulate_flags_override_the_scenario(tmp_path, capsys, flags,
+                                              edits):
+    tiebreak = {"kind": "seeded_random"}
+    flagged = write_scenario(tmp_path / "a.json", tiebreak=tiebreak)
+    edited = write_scenario(tmp_path / "b.json", tiebreak=tiebreak, **edits)
+    assert main(["simulate", "--scenario", str(flagged), *flags,
+                 "--out-dir", str(tmp_path / "a")]) == 0
+    assert main(["simulate", "--scenario", str(edited),
+                 "--out-dir", str(tmp_path / "b")]) == 0
+    for name in ("events.csv", "metrics.csv", "summary.json"):
+        assert (tmp_path / "a" / name).read_bytes() \
+            == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--horizon", "-1"], "simulate: horizon must be >= 0"),
+    (["--policy", "bogus"], "simulate: unknown policy 'bogus'"),
+], ids=["negative-horizon", "unknown-policy"])
+def test_simulate_bad_flag_exits_2(tmp_path, capsys, flags, message):
+    scenario = write_scenario(tmp_path / "s.json")
+    assert main(["simulate", "--scenario", str(scenario), *flags,
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_simulate_rejects_unknown_keys(tmp_path, capsys):

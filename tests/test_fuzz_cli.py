@@ -1,6 +1,6 @@
 """Fuzz of the command line's input handling: mutated scenario JSON for
-`simulate` (read by `load_scenario`), `generate` family parameters and
-`sweep` flags.  Every input must exit 0, or 2 with an `error:` line; an
+`simulate` (read by `load_scenario`), `generate` family parameters, and
+`sweep` and `search` flags.  Every input must exit 0, or 2 with an `error:` line; an
 uncaught exception, which would exit 1 with a traceback, fails the test.
 
 Integers stay small so that a mutant that is still valid runs in
@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 from patrolsim.cli import main
 
 FAMILIES = ["path", "cycle", "four-cycle-chain", "diamond-gadget-chain",
-            "flower-barrier", "grid", "grid-triangulation", "bogus"]
+            "flower-barrier", "grid", "grid-triangulation", "four_cycle_chain",
+            "grid_triangulation", "bogus"]
 PARAM_NAMES = ["n", "k", "delta", "stair_len", "w", "h", "x"]
 POLICIES = ["lrv-v", "lrv-e", "lfv-v", "lfv-e", "random"]
 WORDS = ["", ".", "..", "d", "g.graph", "bad.graph", "missing", "x.csv",
@@ -205,3 +206,18 @@ def test_sweep_flags_fuzz(flags):
     base = ["--family", "path", "--sweep", "n=3..5", "--policies", "lrv-v",
             "--horizon", "10"]
     assert_exits_0_or_2(["sweep", *base, *flags])
+
+
+@given(st.sampled_from(FAMILIES), st.lists(param_tokens, max_size=3),
+       st.lists(st.one_of(
+           flag("--policy", st.sampled_from(POLICIES + ["", "x"]) | words),
+           flag("--start", small_ints | words),
+           flag("--horizon", small_ints | words),
+           flag("--budget", st.integers(-3, 3000) | words),
+           flag("--out", words)), max_size=6).map(
+               lambda flags: [tok for f in flags for tok in f]))
+@settings(max_examples=300, deadline=None)
+def test_search_flags_fuzz(family, params, flags):
+    # the budget keeps a search that is still valid to a few thousand nodes
+    base = ["--policy", "lrv-v", "--horizon", "10", "--budget", "3000"]
+    assert_exits_0_or_2(["search", family, *params, *base, *flags])

@@ -9,6 +9,9 @@ from patrolsim.graph import diameter
 
 def test_family_spec_validation():
     assert FamilySpec("cycle", {"n": 5}).build().n == 5
+    assert FamilySpec("four-cycle-chain", {"k": 2}).family \
+        == "four_cycle_chain"
+    assert FamilySpec("grid", {"w": 1, "h": 1}).family == "grid_triangulation"
     with pytest.raises(ValueError, match="unknown family"):
         FamilySpec("torus", {"n": 5})
     with pytest.raises(ValueError, match="missing params"):
