@@ -16,10 +16,9 @@ import json
 import os
 import shutil
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from . import generators, verify
+from . import generators
 from .engine import SimConfig, run, run_series
 from .graph import diameter, dumps_graph, load_graph
 from .metrics import fit_growth, metrics_csv, refresh_series
@@ -316,7 +315,8 @@ def _map(fn, jobs) -> list:
     ``min(PATROLSIM_WORKERS, len(jobs), CPUs)`` worker processes when that
     is above 1, and in this process otherwise; PATROLSIM_WORKERS defaults
     to the CPU count, and 1 keeps every job here.  ``fn`` and the jobs
-    must pickle."""
+    must pickle.  The pool's modules load only when a pool is made: they
+    would nearly double a command's start-up."""
     cpus = os.cpu_count() or 1
     setting = os.environ.get("PATROLSIM_WORKERS")
     try:
@@ -324,8 +324,12 @@ def _map(fn, jobs) -> list:
     except ValueError:
         raise CliError(f"PATROLSIM_WORKERS must be an integer, "
                        f"got {setting!r}") from None
+    if wanted < 1:
+        raise CliError(f"PATROLSIM_WORKERS must be at least 1, "
+                       f"got {setting!r}")
     workers = min(wanted, len(jobs), cpus)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, jobs))
     return [fn(job) for job in jobs]
@@ -420,18 +424,25 @@ def cmd_search(args) -> int:
         res = exhaustive_tiebreak_search(spec.build(),
                                          PolicyKind.parse(args.policy),
                                          args.start, args.horizon, **budget)
-        with _written_together([out]) as (f,):
-            f.write("\n".join(str(i) for i in res.witness) + "\n")
+        # a search stopped by its budget before any leaf has no schedule
+        # to replay: its peak is the -1 it started from
+        reached_leaf = res.peak >= 0
+        if reached_leaf:
+            with _written_together([out]) as (f,):
+                f.write("\n".join(str(i) for i in res.witness) + "\n")
     except (ValueError, OSError) as exc:
         raise CliError(f"search: {exc}") from exc
-    print(f"peak={res.peak} complete={res.complete} "
-          f"nodes_explored={res.nodes_explored} "
+    print(f"peak={res.peak if reached_leaf else 'none'} "
+          f"complete={res.complete} nodes_explored={res.nodes_explored} "
           f"witness_choices={len(res.witness)}")
-    print(f"wrote {out}")
+    print(f"wrote {out}" if reached_leaf
+          else f"wrote no witness: no leaf within the budget ({out} "
+          "untouched)")
     return 0
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # loaded here: no other command needs it
     if args.suite not in verify.SUITES:
         raise CliError(f"unknown suite {args.suite!r}; choose from "
                        f"{', '.join(sorted(verify.SUITES))}")

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -166,6 +167,21 @@ def test_search_over_budget_exits_0_incomplete(tmp_path, capsys):
     out = capsys.readouterr().out
     assert " complete=False nodes_explored=501 " in out
     assert not out.startswith("peak=-1 ") and witness.read_text() != "\n"
+
+
+def test_search_reaching_no_leaf_writes_no_witness(tmp_path, capsys):
+    # the budget runs out on the first descent, before any leaf: there is
+    # no peak and no schedule, and a file already at --out is left as it is
+    witness = tmp_path / "w.txt"
+    witness.write_text("7\n")
+    assert main(["search", "four_cycle_chain", "k=5", "--policy", "lfv-v",
+                 "--horizon", "400", "--budget", "50",
+                 "--out", str(witness)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "peak=none complete=False nodes_explored=51 witness_choices=0",
+        f"wrote no witness: no leaf within the budget ({witness} untouched)"]
+    assert witness.read_text() == "7\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["w.txt"]
 
 
 def test_simulate_outputs(tmp_path, capsys):
@@ -485,7 +501,7 @@ class RecordingPool:
                                        (None, None)])
 def test_sweep_pool_is_capped(tmp_path, monkeypatch, cpus, size):
     sizes = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda max_workers: RecordingPool(sizes, max_workers))
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setenv("PATROLSIM_WORKERS", "1000")
@@ -515,17 +531,21 @@ def test_simulate_unreadable_scenario_exits_2(tmp_path, capsys, setup,
     assert not (tmp_path / "o").exists()
 
 
+def subprocess_env() -> dict:
+    """This environment, with the patrolsim under test first on the path."""
+    src = str(Path(patrolsim.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_simulate_deeply_nested_scenario_exits_2(tmp_path):
     # json.loads raises RecursionError, not JSONDecodeError, on this; the
     # fuzz cannot reach it, since json.dumps fails at the same depth
     (tmp_path / "s.json").write_text("[" * 20000)
-    src = str(Path(patrolsim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "patrolsim.cli", "simulate", "--scenario",
          str(tmp_path / "s.json"), "--out-dir", str(tmp_path / "o")],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=subprocess_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
     # one error line, no traceback
     assert proc.stderr == ("error: scenario: invalid JSON: nested too "
@@ -585,7 +605,7 @@ def test_verify_in_process_matches_default(monkeypatch, capsys):
 def test_verify_pool_is_sized_by_checks_and_cpus(monkeypatch, capsys, cpus):
     from patrolsim import verify
     sizes = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda max_workers: RecordingPool(sizes, max_workers))
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.delenv("PATROLSIM_WORKERS", raising=False)
@@ -618,6 +638,60 @@ def test_workers_not_an_integer_exits_2(tmp_path, monkeypatch, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "PATROLSIM_WORKERS" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "invariants"],
+    ["sweep", "--family", "path", "--sweep", "n=4..5", "--policies",
+     "lrv-v", "--horizon", "10"],
+], ids=["verify", "sweep"])
+def test_workers_below_1_exits_2(tmp_path, monkeypatch, capsys, argv, value):
+    # a count below 1 used to run every job in this process
+    monkeypatch.setenv("PATROLSIM_WORKERS", value)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: PATROLSIM_WORKERS must be at least 1, "
+                   f"got '{value}'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+# Run in a fresh interpreter, since pytest may have loaded any of these.
+# Prints, after the import and after each command, which of them are loaded.
+LOADED_SCRIPT = """
+import contextlib, io, json, sys
+import patrolsim.cli
+WATCHED = ("multiprocessing", "concurrent.futures.process", "statistics",
+           "patrolsim.verify")
+loaded = {"import": [m for m in WATCHED if m in sys.modules]}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = patrolsim.cli.main(argv)
+    assert code == 0, (argv, code)
+    loaded[argv[0]] = [m for m in WATCHED if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_load_no_pool_or_unused_suite(tmp_path):
+    write_scenario(tmp_path / "s.json")
+    steps = [["generate", "path", "n=4", "--out", "g.graph"],
+             ["simulate", "--scenario", "s.json", "--out-dir", "o"],
+             ["search", "four-cycle-chain", "k=2", "--policy", "lrv-v",
+              "--horizon", "20", "--out", "w.txt"],
+             ["verify", "invariants"]]  # one check: no pool
+    env = subprocess_env()
+    env.pop("PATROLSIM_WORKERS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_SCRIPT, json.dumps(steps)], env=env,
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "import": [], "generate": [], "simulate": [], "search": [],
+        # the suite brings statistics; no command brings a pool
+        "verify": ["statistics", "patrolsim.verify"]}
 
 
 @pytest.mark.parametrize("argv", [

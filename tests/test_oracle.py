@@ -283,3 +283,23 @@ def test_search_snapshot_memory_is_bounded():
         tracemalloc.stop()
     assert not res.complete
     assert traced_peak < 3_000_000
+
+
+@pytest.mark.parametrize("policy,bound", [
+    (PolicyKind.LFV_E, 5_300_000),  # measured 3.77 MB
+    (PolicyKind.LRV_V, 270_000),    # measured 0.19 MB
+], ids=["lfv-e", "lrv-v"])
+def test_long_horizon_search_memory_is_bounded(policy, bound):
+    # each branch frame on the path copies vlast and the key list: on the
+    # grid(10,10) dual lfv-e ties at hundreds of a path's 2,000 rounds and
+    # lrv-v at tens
+    g = generators.grid_triangulation(10, 10).dual
+    tracemalloc.start()
+    try:
+        res = exhaustive_tiebreak_search(g, policy, 0, 2_000,
+                                         node_budget=5_000)
+        traced_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not res.complete and res.peak >= 0  # past the first leaf
+    assert traced_peak < bound
