@@ -70,6 +70,17 @@ def _written_together(paths: list[Path]):
                 os.unlink(temp)
 
 
+def _check_distinct(command: str, outputs: dict[str, Path]) -> None:
+    """A usage error when two ``outputs`` resolve to one file, after
+    symlinks and ``..``: only the one renamed last would be left."""
+    named = {}
+    for key, path in outputs.items():
+        other = named.setdefault(os.path.realpath(path), key)
+        if other != key:
+            raise CliError(f"{command}: outputs {other} and {key} are both "
+                           f"written to {path}")
+
+
 def _parse_params(tokens: list[str]) -> dict[str, int]:
     params = {}
     for tok in tokens:
@@ -99,9 +110,11 @@ def cmd_generate(args) -> int:
         if spec.family == "grid_triangulation":
             tri = generators.grid_triangulation(**spec.params)
             g = tri.dual
-            texts = {Path(str(out) + ".tri"): dumps_triangulation(tri),
-                     out: dumps_graph(g)}
-            wrote = f"wrote {out} (dual graph) and {out}.tri (triangulation)"
+            tri_out = Path(str(out) + ".tri")
+            _check_distinct("generate", {"graph": out,
+                                         "triangulation": tri_out})
+            texts = {tri_out: dumps_triangulation(tri), out: dumps_graph(g)}
+            wrote = f"wrote {out} (dual graph) and {tri_out} (triangulation)"
         else:
             g = spec.build()
             texts = {out: dumps_graph(g)}
@@ -146,18 +159,16 @@ def _reject_unknown(mapping: dict, allowed: set, path: str) -> None:
 
 
 def _parse_tiebreak(raw) -> TieBreakSpec:
+    """A tiebreak object, or a string naming its kind; ``-`` may stand for
+    ``_`` in the kind."""
     if raw is None:
         return TieBreakSpec.lowest_id()
     if isinstance(raw, str):
-        kind = raw.replace("-", "_")
-        if kind == "lowest_id":
-            return TieBreakSpec.lowest_id()
-        if kind == "seeded_random":
-            return TieBreakSpec.seeded_random()
-        raise CliError(f"scenario: tiebreak {raw!r} needs no arguments only "
-                       "for lowest_id/seeded_random")
+        raw = {"kind": raw}
     _reject_unknown(raw, _TIEBREAK_KEYS, "tiebreak.")
     kind = raw.get("kind")
+    if isinstance(kind, str):
+        kind = kind.replace("-", "_")
     if kind == "lowest_id":
         return TieBreakSpec.lowest_id()
     if kind == "seeded_random":
@@ -168,7 +179,7 @@ def _parse_tiebreak(raw) -> TieBreakSpec:
         return TieBreakSpec.scripted(
             _check(i, int, "tiebreak.script[]")
             for i in _check(raw.get("script", []), list, "tiebreak.script"))
-    raise CliError(f"scenario: unknown tiebreak kind {kind!r}")
+    raise CliError(f"scenario: unknown tiebreak kind {raw.get('kind')!r}")
 
 
 def load_scenario(path, witness: str | None = None) -> tuple[SimConfig, dict]:
@@ -257,6 +268,8 @@ def cmd_simulate(args) -> int:
     # out or points outside a tied set are input errors, not failures
     overrides = {name: getattr(args, name) for name in ("horizon", "seed")
                  if getattr(args, name) is not None}
+    if args.seed is not None and config.tiebreak.kind == "seeded_random":
+        overrides["tiebreak"] = TieBreakSpec.seeded_random(args.seed)
     try:
         if args.policy:  # --policy '' keeps the scenario's policy
             overrides["policy"] = PolicyKind.parse(args.policy)
@@ -271,20 +284,15 @@ def cmd_simulate(args) -> int:
     summary["coverage_time"] = ct
 
     out_dir = Path(args.out_dir)
-    paths = [out_dir / outputs.get(key, name) for key, name
+    paths = {key: out_dir / outputs.get(key, name) for key, name
              in (("events", "events.csv"), ("metrics", "metrics.csv"),
-                 ("summary", "summary.json"))]
-    # two outputs on one file would leave only the one renamed last
-    named = {}
-    for key, path in zip(("events", "metrics", "summary"), paths):
-        other = named.setdefault(os.path.realpath(path), key)
-        if other != key:
-            raise CliError(f"simulate: outputs {other} and {key} are both "
-                           f"written to {path}")
+                 ("summary", "summary.json"))}
+    _check_distinct("simulate", paths)
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     try:  # an --out-dir naming a file is an input error
         out_dir.mkdir(parents=True, exist_ok=True)
-        with _written_together(paths) as (events, metrics, summary_file):
+        with _written_together(list(paths.values())) as (events, metrics,
+                                                          summary_file):
             trace.write_events_csv(events)
             metrics.write(metrics_csv(series))
             summary_file.write(json.dumps(summary, sort_keys=True, indent=2)

@@ -5,17 +5,13 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass
-from collections import Counter
-from itertools import chain, cycle, repeat
-from typing import Iterator
+from itertools import chain, islice
+from typing import Iterator, Sequence
 
 from .graph import Graph
 from .metrics import RefreshMeter, RefreshSeries
 from .policies import (IsolatedVertexError, PolicyKind, ScriptUnusedError,
                        TieBreakSpec, decision_keys, tied_entries)
-
-CLOSE = RefreshMeter.CLOSE
-FEED_BATCH = 4096  # visits a metered run holds before feeding its meter
 
 
 @dataclass(frozen=True)
@@ -48,7 +44,60 @@ Event = tuple[int, int, int, int, int]
 # Visit marking that is not a move: (round, robot, vertex)
 Mark = tuple[int, int, int]
 
-EVENTS_CHUNK = 8192  # events formatted per write by Trace.write_events_csv
+EVENTS_CHUNK = 8192  # moves in a chunk of rounds, see _chunks
+# A chunk of rounds: (first round, last round, robots, vertices placed)
+Chunk = tuple[int, int, int, list[int]]
+
+
+def _chunks(config: SimConfig) -> Iterator[Chunk]:
+    """Round 0, then rounds 1..horizon cut into chunks of whole rounds.
+
+    In each round of a chunk robots ``0..robots-1`` move once each, in
+    that order.  Robots are placed only in a chunk's first round, on the
+    vertices the chunk lists.  A chunk has about EVENTS_CHUNK moves, and
+    rounds with no robot yet are one chunk.  Round 0, where robots are
+    placed and none moves, is ``(0, 0, 0, placed)``."""
+    arrivals: dict[int, list[int]] = {}
+    for t, v in config.arrivals:
+        arrivals.setdefault(t, []).append(v)
+    placed = [*config.starts, *arrivals.pop(0, ())]
+    yield 0, 0, 0, placed
+    robots, first, placed = len(placed), 1, []
+    for t in sorted(arrivals) + [config.horizon + 1]:
+        per = max(1, EVENTS_CHUNK // robots if robots else t - first)
+        for lo in range(first, t, per):
+            yield lo, min(lo + per, t) - 1, robots, placed
+            placed = []
+        placed = arrivals.get(t, [])
+        robots, first = robots + len(placed), t
+
+
+def _columns(chunk: Chunk, moves: Iterator[int],
+             table: Sequence) -> list[list]:
+    """``chunk``'s moves, read from the arc ids ``moves`` and looked up in
+    ``table``, as one column per robot: its entries round by round."""
+    first, last, robots, _ = chunk
+    moved = [table[a] for a in islice(moves, robots * (last - first + 1))]
+    return [moved[rid::robots] for rid in range(robots)]
+
+
+def _interleave(columns: list, rounds: int) -> list:
+    """Round after round, that round's entry of each of ``columns``,
+    filled one slice a column: no Python step runs per entry."""
+    laid = [None] * (len(columns) * rounds)
+    for i, column in enumerate(columns):
+        laid[i::len(columns)] = column
+    return laid
+
+
+def _visits(chunk: Chunk, moves: Iterator[int],
+            heads: Sequence[int]) -> Iterator[int]:
+    """``chunk`` as a ``RefreshMeter`` stream: the vertices placed in its
+    first round, then each round's move ``heads`` (by arc id) and CLOSE."""
+    rounds = chunk[1] - chunk[0] + 1
+    return chain(chunk[3], _interleave(
+        [*_columns(chunk, moves, heads), [RefreshMeter.CLOSE] * rounds],
+        rounds))
 
 
 @dataclass
@@ -72,55 +121,43 @@ class Trace:
     def horizon(self) -> int:
         return self.config.horizon
 
-    def round_spans(self) -> Iterator[tuple[int, int, int]]:
-        """``(first round, last round, robots)`` for the spans of rounds
-        1..horizon between arrivals: in each round of a span, robots
-        ``0..robots-1`` move once each.  A span whose robots have not
-        arrived yet has ``robots == 0``."""
-        arrivals = Counter(t for t, _, _ in self.marks)
-        robots, first = arrivals.pop(0, 0), 1
-        for t in sorted(arrivals) + [self.horizon + 1]:
-            if first < t:
-                yield first, t - 1, robots
-            robots += arrivals[t]
-            first = t
-
     @property
     def events(self) -> tuple[Event, ...]:
         """Every move as ``(round, robot, from, edge, to)``, built from
         ``moves`` on each read."""
         arcs, moves = self.graph.arcs, iter(self.moves)
-        return tuple((t, rid, *arcs[a])
-                     for first, last, robots in self.round_spans()
-                     for t in range(first, last + 1)
-                     for rid, a in zip(range(robots), moves))
+        return tuple((t, rid, *arc) for chunk in _chunks(self.config)
+                     for t, *row in zip(range(chunk[0], chunk[1] + 1),
+                                        *_columns(chunk, moves, arcs))
+                     for rid, arc in enumerate(row))
+
+    def visits(self) -> Iterator[int]:
+        """The run as a ``RefreshMeter`` stream: for each round 0..horizon,
+        the vertices placed in it, its moves' heads, then ``CLOSE``."""
+        heads, moves = [w for _, _, w in self.graph.arcs], iter(self.moves)
+        return chain.from_iterable(_visits(chunk, moves, heads)
+                                   for chunk in _chunks(self.config))
 
     def events_csv(self) -> str:
         self.write_events_csv(out := io.StringIO())
         return out.getvalue()
 
     def write_events_csv(self, file) -> None:
-        """Write ``events_csv()`` to ``file`` in whole rounds, about
-        EVENTS_CHUNK events a write.  A row joins three texts looked up
-        by value: ``"t,"``, ``"rid,"`` by robot id and ``"from,edge,to\n"``
-        by arc id."""
+        """Write ``events_csv()`` to ``file`` a chunk of rounds a write.
+        A row is three texts: ``"t,"``, ``"rid,"`` and the arc's
+        ``"from,edge,to\n"``, laid out by ``_interleave``."""
         file.write("round,robot,from,edge,to\n")
-        moves = self.moves
         arc_text = [f"{u},{e},{w}\n" for u, e, w in self.graph.arcs]
-        done = 0
-        for first, last, robots in self.round_spans():
-            if not robots:
-                continue
-            rids = [f"{i}," for i in range(robots)]
-            per = max(1, EVENTS_CHUNK // robots)  # rounds a write
-            for lo in range(first, last + 1, per):
-                hi = min(lo + per, last + 1)
-                chunk = moves[done:done + robots * (hi - lo)]
-                done += len(chunk)
-                rounds = chain.from_iterable(
-                    repeat(f"{t},", robots) for t in range(lo, hi))
-                file.write("".join(chain.from_iterable(zip(
-                    rounds, cycle(rids), map(arc_text.__getitem__, chunk)))))
+        moves = iter(self.moves)
+        for chunk in _chunks(self.config):
+            first, last, *_ = chunk
+            rounds = last - first + 1
+            round_text = list(map("{},".format, range(first, last + 1)))
+            file.write("".join(_interleave([
+                text for rid, arcs in enumerate(_columns(chunk, moves,
+                                                         arc_text))
+                for text in (round_text, [f"{rid},"] * rounds, arcs)],
+                rounds)))
 
     def summary_json(self) -> str:
         payload = {
@@ -142,13 +179,10 @@ class SimState:
     """Mutable state of one run, as flat lists indexed by vertex or edge
     id: ``vlast``/``elast`` hold the last visit/traversal round (-1 for
     never) and ``vcnt``/``ecnt`` the counts.  ``robots[i]`` is the position
-    of robot ``i``.  ``moves`` (arc ids, see ``Trace``) and ``marks`` are
-    None when the run does not record them.  A ``meter``, when given, is
-    fed every visit: the visits gather in ``visits``, as the meter's
-    stream, until ``step`` returns or FEED_BATCH of them are held."""
+    of robot ``i``.  ``moves`` (arc ids, see ``Trace``) and ``marks``
+    record the run."""
 
-    def __init__(self, config: SimConfig, record: bool = True,
-                 meter: RefreshMeter | None = None):
+    def __init__(self, config: SimConfig):
         self.config = config
         self.graph = g = config.graph
         self.round = 0
@@ -157,10 +191,8 @@ class SimState:
         self.elast = [-1] * g.m
         self.ecnt = [0] * g.m
         self.robots: list[int] = []
-        self.moves: list[int] | None = [] if record else None
-        self.marks: list[Mark] | None = [] if record else None
-        self.meter = meter
-        self.visits: list[int] | None = None if meter is None else []
+        self.moves: list[int] = []
+        self.marks: list[Mark] = []
         self.tiebreak = config.tiebreak.make(default_seed=config.seed)
         self.keys, self.slot = decision_keys(
             config.policy, g.n, self.vlast, self.vcnt, self.elast, self.ecnt)
@@ -169,10 +201,7 @@ class SimState:
             key=lambda t: (t[0], t[1]))
 
     def _add_robot(self, vertex: int, round_: int) -> None:
-        if self.marks is not None:
-            self.marks.append((round_, len(self.robots), vertex))
-        if self.visits is not None:
-            self.visits.append(vertex)
+        self.marks.append((round_, len(self.robots), vertex))
         self.robots.append(vertex)
         self.vlast[vertex] = round_
         self.vcnt[vertex] += 1
@@ -183,18 +212,12 @@ class SimState:
             self._add_robot(vertex, self.round)
 
 
-def init(config: SimConfig, record: bool = True,
-         meter: RefreshMeter | None = None) -> SimState:
-    """Round 0: place the initial robots and mark their start vertices.
-
-    With ``record`` false the run keeps no moves or marks; a ``meter`` is
-    fed every visit, these marks included."""
-    state = SimState(config, record, meter)
+def init(config: SimConfig) -> SimState:
+    """Round 0: place the initial robots and mark their start vertices."""
+    state = SimState(config)
     for v in config.starts:
         state._add_robot(v, 0)
     state._activate_arrivals()  # arrivals scheduled for round 0
-    if state.visits is not None:
-        state.visits.append(CLOSE)
     return state
 
 
@@ -206,19 +229,17 @@ def step(state: SimState, rounds: int = 1) -> SimState:
     arriving in a round are placed (their start vertex marked) before
     anyone moves, then move like everyone else.  A robot with a single
     candidate moves without consulting the tie-break, so singleton sets
-    consume no script entry or randomness.  A metered run adds each
-    round's arrivals, its moves and ``CLOSE`` to the meter's stream, and
-    the stream is fed by the time ``step`` returns.  ``step(state, k)``
-    equals ``k`` calls of ``step(state)``; negative ``rounds`` or a step
-    past the horizon raises ``ValueError`` before any round is played.
+    consume no script entry or randomness.  ``step(state, k)`` equals
+    ``k`` calls of ``step(state)``; negative ``rounds`` or a step past the
+    horizon raises ``ValueError`` before any round is played.
     """
     left = state.config.horizon - state.round
     if not 0 <= rounds <= left:
         raise ValueError(f"{rounds} rounds asked, {left} left to the horizon")
     out, keys, slot = state.graph.out, state.keys, state.slot
     vlast, vcnt, elast, ecnt = state.vlast, state.vcnt, state.elast, state.ecnt
-    robots, moves, pending = state.robots, state.moves, state._pending
-    choose, visits = state.tiebreak.choose, state.visits
+    robots, pending, record = state.robots, state._pending, state.moves.append
+    choose = state.tiebreak.choose
     for t in range(state.round + 1, state.round + rounds + 1):
         state.round = t
         if pending and pending[0][0] <= t:
@@ -231,22 +252,12 @@ def step(state: SimState, rounds: int = 1) -> SimState:
                 to, via, arc = tied[choose(len(tied))]
             else:
                 raise IsolatedVertexError(f"vertex {pos} has no neighbors")
-            if moves is not None:
-                moves.append(arc)
+            record(arc)
             robots[rid] = to
             vlast[to] = t
             vcnt[to] += 1
             elast[via] = t
             ecnt[via] += 1
-        if visits is not None:
-            visits += robots
-            visits.append(CLOSE)
-            if len(visits) >= FEED_BATCH:
-                state.meter.feed(visits)
-                visits.clear()
-    if visits:
-        state.meter.feed(visits)
-        visits.clear()
     return state
 
 
@@ -272,8 +283,14 @@ def run(config: SimConfig) -> Trace:
 
 
 def run_series(config: SimConfig, after: int = 0) -> RefreshSeries:
-    """``refresh_series(run(config), after)`` from a run that records no
-    moves or marks: the metrics are kept as it steps."""
+    """``refresh_series(run(config), after)`` from a run that holds one
+    chunk of moves at a time: each chunk is stepped, fed to the meter and
+    dropped."""
     meter = RefreshMeter(config.graph.n, after)
-    finish(step(init(config, record=False, meter=meter), config.horizon))
+    heads, state = [w for _, _, w in config.graph.arcs], init(config)
+    for chunk in _chunks(config):
+        step(state, chunk[1] - state.round)
+        meter.feed(_visits(chunk, iter(state.moves), heads))
+        state.moves.clear()
+    finish(state)
     return meter.series()

@@ -6,8 +6,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, count, islice, repeat
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from itertools import count
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
     from .engine import Trace
@@ -98,30 +98,11 @@ class RefreshMeter:
                              coverage_time=first if first <= horizon else None)
 
 
-def _visits(trace: Trace) -> Iterator[int]:
-    """``trace`` as a ``RefreshMeter`` stream: for each round 0..horizon,
-    its arrival marks, its moves' to vertices, then ``CLOSE``.  The rounds
-    of each span between arrivals are cut out of the moves by count."""
-    close = RefreshMeter.CLOSE
-    placed: dict[int, list[int]] = {}
-    for t, _, v in trace.marks:
-        placed.setdefault(t, []).append(v)
-    heads = [w for _, _, w in trace.graph.arcs]
-    moves = map(heads.__getitem__, trace.moves)
-    parts: list[Iterable[int]] = [placed.get(0, ()), (close,)]
-    for first, last, robots in trace.round_spans():
-        rounds = islice(moves, robots * (last - first + 1))
-        parts.append(placed.get(first, ()))
-        parts.append(chain.from_iterable(
-            zip(*[rounds] * robots, repeat(close, last - first + 1))))
-    return chain.from_iterable(parts)
-
-
 def refresh_series(trace: Trace, after: int = 0) -> RefreshSeries:
     """Every refresh metric of ``trace``: its visits fed through a
     ``RefreshMeter`` in one pass."""
     meter = RefreshMeter(trace.graph.n, after)
-    meter.feed(_visits(trace))
+    meter.feed(trace.visits())
     return meter.series()
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import generators
 from .engine import SimConfig, init, run, run_series, step
 from .graph import Graph, diameter
-from .metrics import RefreshMeter, fit_growth
+from .metrics import fit_growth, refresh_series
 from .oracle import exhaustive_tiebreak_search, reference_run
 from .ownership import (OwnerMap, assign_owners, verify_theorem1,
                         verify_theorem2)
@@ -209,14 +209,12 @@ def multi_robot_steady_means() -> tuple[int, dict[PolicyKind, dict[int, float]]]
     means = {}
     for pol in (PolicyKind.LRV_V, PolicyKind.LFV_E):
         peaks = {}
-        # single-robot steady tour, read one round at a time over the last
-        # 2*m rounds; the run also serves as the r=1 measurement
-        meter = RefreshMeter(g.n)
-        state = step(init(SimConfig(graph=g, policy=pol, starts=(0,),
-                                    horizon=30_000), record=False,
-                          meter=meter), 30_000 - 2 * g.m)
-        tour = [step(state).robots[0] for _ in range(2 * g.m)]
-        peaks[1] = _steady_mean(meter.series(), 24_000)
+        # single-robot steady tour, the heads of the last 2*m moves; the
+        # run also serves as the r=1 measurement
+        trace = run(SimConfig(graph=g, policy=pol, starts=(0,),
+                              horizon=30_000))
+        tour = [g.arcs[a][2] for a in trace.moves[-2 * g.m:]]
+        peaks[1] = _steady_mean(refresh_series(trace), 24_000)
         for r in (3, 9):
             # robots start evenly spaced along the single-robot steady tour
             starts = tuple(tour[(i * len(tour)) // r] for i in range(r))

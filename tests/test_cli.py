@@ -299,10 +299,13 @@ def test_simulate_outputs_match_golden_hashes(tmp_path, policy, kind):
      "tiebreak.script[] must be an integer"),
     ({"outputs": {"events": 5}}, "outputs.events must be a string"),
     ({"robots": [0]}, "robots must be an object"),
+    ({"tiebreak": "bogus"}, "scenario: unknown tiebreak kind 'bogus'"),
+    ({"tiebreak": {"kind": "bogus"}},
+     "scenario: unknown tiebreak kind 'bogus'"),
 ], ids=["start-string", "start-bool", "arrival-short", "policy-int",
         "horizon-string", "horizon-bool", "seed-float", "script-empty",
         "isolated-start", "param-string", "script-string", "output-int",
-        "robots-list"])
+        "robots-list", "tiebreak-string-unknown", "tiebreak-kind-unknown"])
 def test_simulate_bad_scenario_exits_2(tmp_path, capsys, overrides, message):
     scenario = write_scenario(tmp_path / "s.json", **overrides)
     assert main(["simulate", "--scenario", str(scenario),
@@ -311,17 +314,28 @@ def test_simulate_bad_scenario_exits_2(tmp_path, capsys, overrides, message):
     assert err.startswith("error: ") and message in err
 
 
-@pytest.mark.parametrize("flags,edits", [
-    ([], {}),
-    (["--policy", ""], {}),
-    (["--policy", "lfv-e", "--seed", "3", "--horizon", "50"],
+SEEDED = {"kind": "seeded_random"}
+
+
+@pytest.mark.parametrize("tiebreak,flags,edits", [
+    (SEEDED, [], {}),
+    (SEEDED, ["--policy", ""], {}),
+    (SEEDED, ["--policy", "lfv-e", "--seed", "3", "--horizon", "50"],
      {"policy": "lfv-e", "seed": 3, "horizon": 50}),
-], ids=["none", "empty-policy", "all-three"])
-def test_simulate_flags_override_the_scenario(tmp_path, capsys, flags,
-                                              edits):
-    tiebreak = {"kind": "seeded_random"}
+    ({"kind": "seeded_random", "seed": 5}, ["--seed", "2"],
+     {"seed": 2, "tiebreak": {"kind": "seeded_random", "seed": 2}}),
+    ("seeded-random", [], {"tiebreak": SEEDED}),
+    ({"kind": "seeded-random", "seed": 4}, [],
+     {"tiebreak": {"kind": "seeded_random", "seed": 4}}),
+], ids=["none", "empty-policy", "all-three", "seed-over-tiebreak-seed",
+        "tiebreak-string", "tiebreak-kind-dashed"])
+def test_simulate_flags_override_the_scenario(tmp_path, capsys, tiebreak,
+                                              flags, edits):
+    # the scenario as flagged equals the scenario edited; --seed also
+    # replaces the seed a seeded_random tiebreak names
     flagged = write_scenario(tmp_path / "a.json", tiebreak=tiebreak)
-    edited = write_scenario(tmp_path / "b.json", tiebreak=tiebreak, **edits)
+    edited = write_scenario(tmp_path / "b.json",
+                            **{"tiebreak": tiebreak, **edits})
     assert main(["simulate", "--scenario", str(flagged), *flags,
                  "--out-dir", str(tmp_path / "a")]) == 0
     assert main(["simulate", "--scenario", str(edited),
@@ -568,24 +582,29 @@ def test_sweep_empty_range_exits_2(tmp_path, capsys, flag, value):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("outputs,link", [
-    ({"events": "x.csv", "metrics": "x.csv"}, None),
-    ({"events": "summary.json"}, None),
-    ({"summary": "sub/../metrics.csv"}, None),
-    ({"metrics": "link.csv"}, "events.csv"),
-], ids=["same-name", "onto-default", "same-after-dotdot", "through-symlink"])
-def test_simulate_outputs_on_one_file_exit_2(tmp_path, capsys, outputs,
-                                             link):
+@pytest.mark.parametrize("command,outputs,link", [
+    ("simulate", {"events": "x.csv", "metrics": "x.csv"}, None),
+    ("simulate", {"events": "summary.json"}, None),
+    ("simulate", {"summary": "sub/../metrics.csv"}, None),
+    ("simulate", {"metrics": "link.csv"}, ("link.csv", "events.csv")),
+    ("generate", {}, ("g.tri", "g")),
+], ids=["same-name", "onto-default", "same-after-dotdot", "through-symlink",
+        "generate-triangulation-onto-graph"])
+def test_simulate_outputs_on_one_file_exit_2(tmp_path, capsys, command,
+                                             outputs, link):
+    # link: (name, target) of a symlink made in the output directory
     scenario = write_scenario(tmp_path / "s.json", outputs=outputs)
     out_dir = tmp_path / "o"
     if link is not None:
         out_dir.mkdir()
-        (out_dir / "link.csv").symlink_to(link)
-    assert main(["simulate", "--scenario", str(scenario),
-                 "--out-dir", str(out_dir)]) == 2
-    assert capsys.readouterr().err.startswith("error: simulate: outputs ")
+        (out_dir / link[0]).symlink_to(link[1])
+    argv = {"simulate": ["--scenario", str(scenario),
+                         "--out-dir", str(out_dir)],
+            "generate": ["grid", "w=2", "h=2", "--out", str(out_dir / "g")]}
+    assert main([command, *argv[command]]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {command}: outputs ")
     assert sorted(p.name for p in tmp_path.rglob("*")) \
-        == (["s.json"] if link is None else ["link.csv", "o", "s.json"])
+        == (["s.json"] if link is None else [link[0], "o", "s.json"])
 
 
 def test_verify_in_process_matches_default(monkeypatch, capsys):

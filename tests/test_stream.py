@@ -43,11 +43,11 @@ def random_config(seed, pol_idx, horizon, robots, arrive, tiebreak):
        st.integers(1, 12))
 @settings(max_examples=100, deadline=None)
 def test_run_series_equals_replayed_trace(seed, pol_idx, horizon, robots,
-                                          arrive, after, batch):
-    # a small feed batch: the engine feeds its meter many times a run
+                                          arrive, after, chunk):
+    # a small chunk: run_series steps and feeds its meter many times a run
     cfg = random_config(seed, pol_idx, horizon, robots, arrive,
                         TieBreakSpec.seeded_random(seed % 89))
-    with mock.patch.object(engine, "FEED_BATCH", batch):
+    with mock.patch.object(engine, "EVENTS_CHUNK", chunk):
         series = run_series(cfg, after)
     assert series == refresh_series(run(cfg), after)
 

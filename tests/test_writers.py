@@ -54,25 +54,32 @@ def test_events_writers_equal_reference(seed, pol_idx, horizon, robots,
         assert_writers_match(run(cfg))
 
 
-@pytest.mark.parametrize("robots,horizon", [(1, 0), (12, 0), (12, 50),
-                                            (4, 3_000)],
-                         ids=["horizon-0", "horizon-0-12-robots",
-                              "robot-ids-past-n-and-m", "past-one-chunk"])
-def test_events_writers_on_cycle3(robots, horizon):
-    # one robot of each run arrives half-way.  cycle(3) has n = m = 3, so
-    # 12 robots number past both tables; 4 robots for 3,000 rounds make
-    # 10,501 events, one chunk and part of the next
+@pytest.mark.parametrize("robots,horizon,arrival", [
+    (1, 0, 0), (12, 0, 0), (12, 50, 25), (4, 3_000, 1_500), (1, 5, 1),
+    (3, 50, 50), (4, 2_048, 0)],
+    ids=["horizon-0", "horizon-0-12-robots", "robot-ids-past-n-and-m",
+         "past-one-chunk", "no-robot-until-round-1", "arrival-at-horizon",
+         "exactly-one-chunk"])
+def test_events_writers_on_cycle3(robots, horizon, arrival):
+    # one robot of each run arrives in round ``arrival``.  cycle(3) has
+    # n = m = 3, so 12 robots number past both tables; 4 robots for 3,000
+    # rounds make 10,501 events, one chunk and part of the next, and for
+    # 2,048 rounds exactly one chunk
     cfg = SimConfig(graph=cycle(3), policy=PolicyKind.LFV_E,
                     starts=tuple(i % 3 for i in range(robots - 1)),
-                    arrivals=((horizon // 2, 2),), horizon=horizon,
+                    arrivals=((arrival, 2),), horizon=horizon,
                     tiebreak=TieBreakSpec.seeded_random(robots))
     trace = run(cfg)
     if horizon == 50:
-        assert max(e[1] for e in trace.events) == 11
+        assert max(e[1] for e in trace.events) == robots - 1
     if horizon == 3_000:
         assert engine.EVENTS_CHUNK < len(trace.events) \
             < 2 * engine.EVENTS_CHUNK
+    if horizon == 2_048:
+        assert len(trace.events) == engine.EVENTS_CHUNK
+    assert trace.events == reference_run(cfg).events
     assert_writers_match(trace)
+    assert refresh_series(trace) == run_series(cfg)
 
 
 @given(st.integers(0, 10**9), st.integers(0, 4), st.integers(0, 30),
