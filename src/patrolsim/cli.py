@@ -35,50 +35,52 @@ class CliError(Exception):
         self.code = code
 
 
-@contextlib.contextmanager
-def _written_together(paths: list[Path]):
-    """Yield a text file open on a temporary sibling of each of ``paths``.
+def _write(command: str, outputs: dict, out_dir: Path | None = None) -> None:
+    """Write ``outputs``, ``{name: (path, text or writer(file))}``, together.
 
-    Only when the block ends without an error are the files closed and
-    renamed onto ``paths``; otherwise the temporaries are removed and no
-    path is touched.  A symlink is written through, onto the file it names,
-    and a file replaced keeps its permission bits.  A path naming a
-    directory fails before anything is written, since a rename onto it
-    would fail after others were done."""
-    targets = [Path(os.path.realpath(path)) for path in paths]
-    for path in targets:
-        if path.is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
-                                    str(path))
-    temps, files = [], []
+    Every path is resolved once, through symlinks and ``..``: two outputs
+    on one file, or a path naming a directory, fail before anything is
+    made.  ``out_dir`` and its missing parents are made next.  Each output
+    is written to a temporary sibling, and only when all are written are
+    they renamed onto their paths; a file replaced keeps its permission
+    bits.  On failure the temporaries and the directories made are
+    removed, and an ``OSError`` becomes a usage error."""
+    targets, named, made, temps = [], {}, [], []
     try:
-        for i, path in enumerate(targets):
-            temps.append(path.with_name(f".{path.name}.{os.getpid()}.{i}.tmp"))
-            files.append(open(temps[-1], "w"))
-        yield files
-        for f in files:
-            f.close()
-        for temp, path in zip(temps, targets):
-            if path.exists():
-                shutil.copymode(path, temp)
-            os.replace(temp, path)
-    finally:
-        for f in files:
-            f.close()
-        for temp in temps:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(temp)
-
-
-def _check_distinct(command: str, outputs: dict[str, Path]) -> None:
-    """A usage error when two ``outputs`` resolve to one file, after
-    symlinks and ``..``: only the one renamed last would be left."""
-    named = {}
-    for key, path in outputs.items():
-        other = named.setdefault(os.path.realpath(path), key)
-        if other != key:
-            raise CliError(f"{command}: outputs {other} and {key} are both "
-                           f"written to {path}")
+        for name, (path, content) in outputs.items():
+            real = Path(os.path.realpath(path))
+            other = named.setdefault(real, name)
+            if other != name:
+                raise CliError(f"{command}: outputs {other} and {name} are "
+                               f"both written to {path}")
+            if real.is_dir():
+                raise IsADirectoryError(errno.EISDIR,
+                                        os.strerror(errno.EISDIR), str(real))
+            targets.append((real, content))
+        if out_dir is not None:
+            made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+            out_dir.mkdir(parents=True, exist_ok=True)
+        for i, (real, content) in enumerate(targets):
+            temps.append(real.with_name(f".{real.name}.{os.getpid()}.{i}.tmp"))
+            with open(temps[-1], "w") as f:
+                if callable(content):
+                    content(f)
+                else:
+                    f.write(content)
+        for temp, (real, _) in zip(temps, targets):
+            if real.exists():
+                shutil.copymode(real, temp)
+            os.replace(temp, real)
+    except BaseException as exc:
+        for path in temps:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        for d in made:  # innermost first
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        if isinstance(exc, OSError):
+            raise CliError(f"{command}: {exc}") from exc
+        raise
 
 
 def _parse_params(tokens: list[str]) -> dict[str, int]:
@@ -104,27 +106,19 @@ def _family_spec(family: str, params: dict[str, int]) -> generators.FamilySpec:
 def cmd_generate(args) -> int:
     spec = _family_spec(args.family, _parse_params(args.params))
     out = Path(args.out)
-    # a parameter below the family's minimum (cycle n=2) and an output path
-    # that cannot be written (a missing directory) are input errors
-    try:
-        if spec.family == "grid_triangulation":
-            tri = generators.grid_triangulation(**spec.params)
-            g = tri.dual
-            tri_out = Path(str(out) + ".tri")
-            _check_distinct("generate", {"graph": out,
-                                         "triangulation": tri_out})
-            texts = {tri_out: dumps_triangulation(tri), out: dumps_graph(g)}
-            wrote = f"wrote {out} (dual graph) and {tri_out} (triangulation)"
-        else:
-            g = spec.build()
-            texts = {out: dumps_graph(g)}
-            wrote = f"wrote {out}"
-        with _written_together(list(texts)) as files:
-            for f, text in zip(files, texts.values()):
-                f.write(text)
-    except (ValueError, OSError) as exc:
+    try:  # a parameter below the family's minimum (cycle n=2)
+        tri = (generators.grid_triangulation(**spec.params)
+               if spec.family == "grid_triangulation" else None)
+        g = spec.build() if tri is None else tri.dual
+    except ValueError as exc:
         raise CliError(f"generate: {exc}") from exc
-    print(wrote)
+    outputs = {"graph": (out, dumps_graph(g))}
+    if tri is not None:
+        tri_out = Path(str(out) + ".tri")
+        outputs["triangulation"] = (tri_out, dumps_triangulation(tri))
+    _write("generate", outputs)
+    print(f"wrote {out}" if tri is None
+          else f"wrote {out} (dual graph) and {tri_out} (triangulation)")
     print(f"n={g.n} m={g.m} max_degree={g.max_degree()} "
           f"diameter={diameter(g)}")
     return 0
@@ -160,7 +154,8 @@ def _reject_unknown(mapping: dict, allowed: set, path: str) -> None:
 
 def _parse_tiebreak(raw) -> TieBreakSpec:
     """A tiebreak object, or a string naming its kind; ``-`` may stand for
-    ``_`` in the kind."""
+    ``_`` in the kind.  A seed or script that the kind does not read is a
+    usage error, not silently dropped."""
     if raw is None:
         return TieBreakSpec.lowest_id()
     if isinstance(raw, str):
@@ -169,8 +164,12 @@ def _parse_tiebreak(raw) -> TieBreakSpec:
     kind = raw.get("kind")
     if isinstance(kind, str):
         kind = kind.replace("-", "_")
-    if kind == "lowest_id":
-        return TieBreakSpec.lowest_id()
+    if kind not in ("lowest_id", "seeded_random", "scripted"):
+        raise CliError(f"scenario: unknown tiebreak kind {raw.get('kind')!r}")
+    for key, reader in (("seed", "seeded_random"), ("script", "scripted")):
+        if key in raw and kind != reader:
+            raise CliError(f"scenario: tiebreak.{key} is read only by kind "
+                           f"{reader}, not {kind}")
     if kind == "seeded_random":
         seed = raw.get("seed")
         return TieBreakSpec.seeded_random(
@@ -179,7 +178,7 @@ def _parse_tiebreak(raw) -> TieBreakSpec:
         return TieBreakSpec.scripted(
             _check(i, int, "tiebreak.script[]")
             for i in _check(raw.get("script", []), list, "tiebreak.script"))
-    raise CliError(f"scenario: unknown tiebreak kind {raw.get('kind')!r}")
+    return TieBreakSpec.lowest_id()
 
 
 def load_scenario(path, witness: str | None = None) -> tuple[SimConfig, dict]:
@@ -201,6 +200,10 @@ def load_scenario(path, witness: str | None = None) -> tuple[SimConfig, dict]:
     graph_raw = raw["graph"]
     _reject_unknown(graph_raw, _GRAPH_KEYS, "graph.")
     if "file" in graph_raw:
+        for key in ("family", "params"):  # the file alone makes the graph
+            if key in graph_raw:
+                raise CliError(f"scenario: graph.{key} cannot be given with "
+                               "graph.file")
         try:
             g = load_graph(_check(graph_raw["file"], str, "graph.file"))
         except (OSError, ValueError) as exc:  # bad text, a NUL in the name
@@ -284,24 +287,14 @@ def cmd_simulate(args) -> int:
     summary["coverage_time"] = ct
 
     out_dir = Path(args.out_dir)
-    paths = {key: out_dir / outputs.get(key, name) for key, name
-             in (("events", "events.csv"), ("metrics", "metrics.csv"),
-                 ("summary", "summary.json"))}
-    _check_distinct("simulate", paths)
-    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-    try:  # an --out-dir naming a file is an input error
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with _written_together(list(paths.values())) as (events, metrics,
-                                                          summary_file):
-            trace.write_events_csv(events)
-            metrics.write(metrics_csv(series))
-            summary_file.write(json.dumps(summary, sort_keys=True, indent=2)
-                               + "\n")
-    except OSError as exc:
-        for d in made:  # the directories this run made, innermost first
-            with contextlib.suppress(OSError):
-                d.rmdir()
-        raise CliError(f"simulate: {exc}") from exc
+    _write("simulate", {
+        "events": (out_dir / outputs.get("events", "events.csv"),
+                   trace.write_events_csv),
+        "metrics": (out_dir / outputs.get("metrics", "metrics.csv"),
+                    lambda f: f.write(metrics_csv(series))),
+        "summary": (out_dir / outputs.get("summary", "summary.json"),
+                    json.dumps(summary, sort_keys=True, indent=2) + "\n")},
+        out_dir)
     print(f"peak_refresh={peak} coverage_time={ct}")
     return 0
 
@@ -406,19 +399,13 @@ def cmd_sweep(args) -> int:
                 stat = (f"exponent={fit.exponent:.3f}" if args.fit == "power"
                         else f"ratio={fit.ratio:.3f}")
                 fit_lines.append(f"{policy} robots={robots}: {stat}")
-    fit_text = "\n".join(fit_lines)
+    fits = "".join(f"{line}\n" for line in fit_lines)
     out_dir = Path(args.out_dir)
-    try:  # an --out-dir naming a file is an input error
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with _written_together([out_dir / "sweep.csv",
-                                out_dir / "fits.txt"]) as (rows_f, fits_f):
-            rows_f.write("\n".join(lines) + "\n")
-            fits_f.write(fit_text + "\n" if fit_text else "")
-    except OSError as exc:
-        raise CliError(f"sweep: {exc}") from exc
+    _write("sweep", {
+        "sweep.csv": (out_dir / "sweep.csv", "\n".join(lines) + "\n"),
+        "fits.txt": (out_dir / "fits.txt", fits)}, out_dir)
     print(f"wrote {out_dir / 'sweep.csv'} ({len(rows)} runs)")
-    if fit_text:
-        print(fit_text)
+    print(fits, end="")
     return 0
 
 
@@ -426,20 +413,20 @@ def cmd_search(args) -> int:
     spec = _family_spec(args.family, _parse_params(args.params))
     budget = {} if args.budget is None else {"node_budget": args.budget}
     out = Path(args.out)
-    # an unknown policy, a start out of range, a negative horizon or budget
-    # and an --out that cannot be written are input errors
+    # an unknown policy, a start out of range and a negative horizon or
+    # budget are input errors
     try:
         res = exhaustive_tiebreak_search(spec.build(),
                                          PolicyKind.parse(args.policy),
                                          args.start, args.horizon, **budget)
-        # a search stopped by its budget before any leaf has no schedule
-        # to replay: its peak is the -1 it started from
-        reached_leaf = res.peak >= 0
-        if reached_leaf:
-            with _written_together([out]) as (f,):
-                f.write("\n".join(str(i) for i in res.witness) + "\n")
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         raise CliError(f"search: {exc}") from exc
+    # a search stopped by its budget before any leaf has no schedule to
+    # replay: its peak is the -1 it started from
+    reached_leaf = res.peak >= 0
+    if reached_leaf:
+        _write("search", {"witness": (
+            out, "\n".join(str(i) for i in res.witness) + "\n")})
     print(f"peak={res.peak if reached_leaf else 'none'} "
           f"complete={res.complete} nodes_explored={res.nodes_explored} "
           f"witness_choices={len(res.witness)}")

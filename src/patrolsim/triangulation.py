@@ -22,7 +22,7 @@ class Triangulation:
 
     points: tuple[tuple[float, float], ...]
     triangles: tuple[tuple[int, int, int], ...]
-    primal_edges: tuple[tuple[int, int], ...] = field(compare=False)
+    primal_edges: frozenset[tuple[int, int]] = field(compare=False)
     dual: Graph = field(compare=False)
     # canonical dual edge id -> shared primal edge (u, v), u < v
     shared_primal_edge: tuple[tuple[int, int], ...] = field(compare=False)
@@ -65,23 +65,14 @@ class Triangulation:
         return Triangulation(points=tuple((float(x), float(y))
                                           for x, y in points),
                              triangles=tris,
-                             primal_edges=tuple(sorted(edge_tris)),
+                             primal_edges=frozenset(edge_tris),
                              dual=dual,
                              shared_primal_edge=shared_by_eid)
 
     def primal_adjacent(self, u: int, v: int) -> bool:
         if u > v:
             u, v = v, u
-        return (u, v) in self._primal_edge_set
-
-    @property
-    def _primal_edge_set(self) -> frozenset:
-        # cached lazily on the instance despite frozen dataclass
-        cached = getattr(self, "_edge_set_cache", None)
-        if cached is None:
-            cached = frozenset(self.primal_edges)
-            object.__setattr__(self, "_edge_set_cache", cached)
-        return cached
+        return (u, v) in self.primal_edges
 
 
 # --- text format -------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import generators
 from .engine import SimConfig, init, run, run_series, step
-from .graph import Graph, diameter
+from .graph import Graph, diameter, dumps_graph, parse_graph
 from .metrics import fit_growth, refresh_series
 from .oracle import exhaustive_tiebreak_search, reference_run
 from .ownership import (OwnerMap, assign_owners, verify_theorem1,
@@ -370,7 +370,6 @@ def suite_invariants() -> list[CheckResult]:
         if sum(g.degree(v) for v in range(g.n)) != 2 * g.m:
             ok = False
             notes.append(f"{name}: degree sum mismatch")
-        from .graph import dumps_graph, parse_graph
         if parse_graph(dumps_graph(g)) != g:
             ok = False
             notes.append(f"{name}: save/load round-trip changed the graph")

@@ -302,10 +302,25 @@ def test_simulate_outputs_match_golden_hashes(tmp_path, policy, kind):
     ({"tiebreak": "bogus"}, "scenario: unknown tiebreak kind 'bogus'"),
     ({"tiebreak": {"kind": "bogus"}},
      "scenario: unknown tiebreak kind 'bogus'"),
+    ({"graph": {"family": "cycle", "params": {"n": 40}, "file": "p.graph"}},
+     "scenario: graph.family cannot be given with graph.file"),
+    ({"graph": {"params": {"n": 40}, "file": "p.graph"}},
+     "scenario: graph.params cannot be given with graph.file"),
+    ({"tiebreak": {"kind": "lowest_id", "script": [1, 1]}},
+     "scenario: tiebreak.script is read only by kind scripted, "
+     "not lowest_id"),
+    ({"tiebreak": {"kind": "scripted", "seed": 3, "script": [0]}},
+     "scenario: tiebreak.seed is read only by kind seeded_random, "
+     "not scripted"),
+    ({"tiebreak": {"kind": "lowest-id", "seed": 3}},
+     "scenario: tiebreak.seed is read only by kind seeded_random, "
+     "not lowest_id"),
 ], ids=["start-string", "start-bool", "arrival-short", "policy-int",
         "horizon-string", "horizon-bool", "seed-float", "script-empty",
         "isolated-start", "param-string", "script-string", "output-int",
-        "robots-list", "tiebreak-string-unknown", "tiebreak-kind-unknown"])
+        "robots-list", "tiebreak-string-unknown", "tiebreak-kind-unknown",
+        "graph-file-and-family", "graph-file-and-params",
+        "script-on-lowest-id", "seed-on-scripted", "seed-on-lowest-id"])
 def test_simulate_bad_scenario_exits_2(tmp_path, capsys, overrides, message):
     scenario = write_scenario(tmp_path / "s.json", **overrides)
     assert main(["simulate", "--scenario", str(scenario),
@@ -481,6 +496,35 @@ def test_simulate_failure_leaves_no_files(tmp_path, capsys, overrides):
     assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
 
 
+@pytest.mark.parametrize("command", ["generate", "simulate", "sweep",
+                                     "search"])
+def test_failed_rename_leaves_nothing_behind(tmp_path, monkeypatch, capsys,
+                                             command):
+    # the first rename fails, after every temporary is written
+    replace, calls = os.replace, []
+
+    def failing_replace(src, dst):
+        calls.append(dst)
+        if len(calls) == 1:
+            raise OSError(28, "No space left on device")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    scenario = write_scenario(tmp_path / "s.json")
+    out = str(tmp_path / "a" / "b")  # an --out-dir that is new, two deep
+    argv = {"generate": ["grid", "w=2", "h=2", "--out", str(tmp_path / "g")],
+            "simulate": ["--scenario", str(scenario), "--out-dir", out],
+            "sweep": ["--family", "cycle", "--sweep", "n=4..6", "--policies",
+                      "lrv-v", "--horizon", "50", "--out-dir", out],
+            "search": ["four-cycle-chain", "k=2", "--policy", "lrv-v",
+                       "--horizon", "20", "--out", str(tmp_path / "w.txt")]}
+    assert main([command, *argv[command]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command}: ") and err.count("\n") == 1
+    assert "No space left on device" in err and len(calls) == 1
+    assert [p.name for p in tmp_path.rglob("*")] == ["s.json"]
+
+
 def test_writes_go_through_symlinks_and_keep_modes(tmp_path, capsys):
     real = tmp_path / "real.graph"
     real.write_text("stale\n")
@@ -588,8 +632,9 @@ def test_sweep_empty_range_exits_2(tmp_path, capsys, flag, value):
     ("simulate", {"summary": "sub/../metrics.csv"}, None),
     ("simulate", {"metrics": "link.csv"}, ("link.csv", "events.csv")),
     ("generate", {}, ("g.tri", "g")),
+    ("sweep", {}, ("fits.txt", "sweep.csv")),
 ], ids=["same-name", "onto-default", "same-after-dotdot", "through-symlink",
-        "generate-triangulation-onto-graph"])
+        "generate-triangulation-onto-graph", "sweep-fits-onto-rows"])
 def test_simulate_outputs_on_one_file_exit_2(tmp_path, capsys, command,
                                              outputs, link):
     # link: (name, target) of a symlink made in the output directory
@@ -600,7 +645,9 @@ def test_simulate_outputs_on_one_file_exit_2(tmp_path, capsys, command,
         (out_dir / link[0]).symlink_to(link[1])
     argv = {"simulate": ["--scenario", str(scenario),
                          "--out-dir", str(out_dir)],
-            "generate": ["grid", "w=2", "h=2", "--out", str(out_dir / "g")]}
+            "generate": ["grid", "w=2", "h=2", "--out", str(out_dir / "g")],
+            "sweep": ["--family", "cycle", "--sweep", "n=4..6", "--policies",
+                      "lrv-v", "--horizon", "50", "--out-dir", str(out_dir)]}
     assert main([command, *argv[command]]) == 2
     assert capsys.readouterr().err.startswith(f"error: {command}: outputs ")
     assert sorted(p.name for p in tmp_path.rglob("*")) \
