@@ -152,10 +152,11 @@ def _reject_unknown(mapping: dict, allowed: set, path: str) -> None:
             raise CliError(f"scenario: unknown key {path}{key}")
 
 
-def _parse_tiebreak(raw) -> TieBreakSpec:
+def _parse_tiebreak(raw, seed: int) -> TieBreakSpec:
     """A tiebreak object, or a string naming its kind; ``-`` may stand for
-    ``_`` in the kind.  A seed or script that the kind does not read is a
-    usage error, not silently dropped."""
+    ``_`` in the kind.  A seeded_random that names no seed draws from
+    ``seed``.  A seed or script that the kind does not read is a usage
+    error, not silently dropped."""
     if raw is None:
         return TieBreakSpec.lowest_id()
     if isinstance(raw, str):
@@ -171,9 +172,9 @@ def _parse_tiebreak(raw) -> TieBreakSpec:
             raise CliError(f"scenario: tiebreak.{key} is read only by kind "
                            f"{reader}, not {kind}")
     if kind == "seeded_random":
-        seed = raw.get("seed")
+        own = raw.get("seed")
         return TieBreakSpec.seeded_random(
-            None if seed is None else _check(seed, int, "tiebreak.seed"))
+            seed if own is None else _check(own, int, "tiebreak.seed"))
     if kind == "scripted":
         return TieBreakSpec.scripted(
             _check(i, int, "tiebreak.script[]")
@@ -181,7 +182,9 @@ def _parse_tiebreak(raw) -> TieBreakSpec:
     return TieBreakSpec.lowest_id()
 
 
-def load_scenario(path, witness: str | None = None) -> tuple[SimConfig, dict]:
+def load_scenario(path, witness: str | None = None
+                  ) -> tuple[SimConfig, dict, int]:
+    """The scenario's run, its ``outputs`` and its top-level ``seed``."""
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, UnicodeDecodeError) as exc:
@@ -239,6 +242,8 @@ def load_scenario(path, witness: str | None = None) -> tuple[SimConfig, dict]:
         arrivals.append(tuple(_check(x, int, "robots.arrivals[][]")
                               for x in pair))
 
+    seed = _check(raw.get("seed", 0), int, "seed")
+    tiebreak = _parse_tiebreak(raw.get("tiebreak"), seed)
     if witness is not None:
         try:
             script = [int(line) for line
@@ -246,8 +251,6 @@ def load_scenario(path, witness: str | None = None) -> tuple[SimConfig, dict]:
         except (OSError, ValueError) as exc:
             raise CliError(f"witness file: {exc}")
         tiebreak = TieBreakSpec.scripted(script)
-    else:
-        tiebreak = _parse_tiebreak(raw.get("tiebreak"))
 
     outputs = raw.get("outputs", {})
     _reject_unknown(outputs, _OUTPUT_KEYS, "outputs.")
@@ -257,22 +260,20 @@ def load_scenario(path, witness: str | None = None) -> tuple[SimConfig, dict]:
     try:
         config = SimConfig(graph=g, policy=policy, starts=starts,
                            horizon=_check(raw["horizon"], int, "horizon"),
-                           tiebreak=tiebreak,
-                           seed=_check(raw.get("seed", 0), int, "seed"),
-                           arrivals=tuple(arrivals))
+                           tiebreak=tiebreak, arrivals=tuple(arrivals))
     except ValueError as exc:
         raise CliError(f"scenario: {exc}")
-    return config, outputs
+    return config, outputs, seed
 
 
 def cmd_simulate(args) -> int:
-    config, outputs = load_scenario(args.scenario, witness=args.witness)
+    config, outputs, seed = load_scenario(args.scenario, witness=args.witness)
     # invalid overrides, an isolated start vertex and a script that runs
     # out or points outside a tied set are input errors, not failures
-    overrides = {name: getattr(args, name) for name in ("horizon", "seed")
-                 if getattr(args, name) is not None}
+    overrides = {} if args.horizon is None else {"horizon": args.horizon}
+    seed = seed if args.seed is None else args.seed  # summary.json's "seed"
     if args.seed is not None and config.tiebreak.kind == "seeded_random":
-        overrides["tiebreak"] = TieBreakSpec.seeded_random(args.seed)
+        overrides["tiebreak"] = TieBreakSpec.seeded_random(seed)
     try:
         if args.policy:  # --policy '' keeps the scenario's policy
             overrides["policy"] = PolicyKind.parse(args.policy)
@@ -282,9 +283,6 @@ def cmd_simulate(args) -> int:
     series = refresh_series(trace)
     peak = max(series.vertex_peak, default=0)
     ct = series.coverage_time
-    summary = json.loads(trace.summary_json())
-    summary["peak_refresh"] = peak
-    summary["coverage_time"] = ct
 
     out_dir = Path(args.out_dir)
     _write("simulate", {
@@ -293,7 +291,8 @@ def cmd_simulate(args) -> int:
         "metrics": (out_dir / outputs.get("metrics", "metrics.csv"),
                     lambda f: f.write(metrics_csv(series))),
         "summary": (out_dir / outputs.get("summary", "summary.json"),
-                    json.dumps(summary, sort_keys=True, indent=2) + "\n")},
+                    trace.summary_json(seed=seed, peak_refresh=peak,
+                                       coverage_time=ct))},
         out_dir)
     print(f"peak_refresh={peak} coverage_time={ct}")
     return 0
@@ -341,8 +340,7 @@ def _sweep_one(job) -> tuple:
     g = spec.build()
     starts = tuple(i * g.n // robots for i in range(robots))
     cfg = SimConfig(graph=g, policy=PolicyKind.parse(policy), starts=starts,
-                    horizon=horizon, tiebreak=TieBreakSpec.seeded_random(seed),
-                    seed=seed)
+                    horizon=horizon, tiebreak=TieBreakSpec.seeded_random(seed))
     series = run_series(cfg)
     return (spec.family, spec.params, policy, robots, seed,
             max(series.vertex_peak, default=0), series.coverage_time)

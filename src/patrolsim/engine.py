@@ -21,7 +21,6 @@ class SimConfig:
     starts: tuple[int, ...]
     horizon: int
     tiebreak: TieBreakSpec = TieBreakSpec.lowest_id()
-    seed: int = 0
     arrivals: tuple[tuple[int, int], ...] = ()  # (round, start vertex)
 
     def __post_init__(self):
@@ -41,12 +40,19 @@ class SimConfig:
 
 # Trace event: (round, robot, from_vertex, edge, to_vertex)
 Event = tuple[int, int, int, int, int]
-# Visit marking that is not a move: (round, robot, vertex)
-Mark = tuple[int, int, int]
 
 EVENTS_CHUNK = 8192  # moves in a chunk of rounds, see _chunks
 # A chunk of rounds: (first round, last round, robots, vertices placed)
 Chunk = tuple[int, int, int, list[int]]
+
+
+def _placements(config: SimConfig) -> dict[int, list[int]]:
+    """The one placement order, ``{round: [vertex, ...]}``: the starts,
+    then the arrivals in config order.  A robot's id is its place in it."""
+    placed = {0: list(config.starts)}
+    for t, v in config.arrivals:
+        placed.setdefault(t, []).append(v)
+    return placed
 
 
 def _chunks(config: SimConfig) -> Iterator[Chunk]:
@@ -57,10 +63,8 @@ def _chunks(config: SimConfig) -> Iterator[Chunk]:
     vertices the chunk lists.  A chunk has about EVENTS_CHUNK moves, and
     rounds with no robot yet are one chunk.  Round 0, where robots are
     placed and none moves, is ``(0, 0, 0, placed)``."""
-    arrivals: dict[int, list[int]] = {}
-    for t, v in config.arrivals:
-        arrivals.setdefault(t, []).append(v)
-    placed = [*config.starts, *arrivals.pop(0, ())]
+    arrivals = _placements(config)
+    placed = arrivals.pop(0)
     yield 0, 0, 0, placed
     robots, first, placed = len(placed), 1, []
     for t in sorted(arrivals) + [config.horizon + 1]:
@@ -105,11 +109,10 @@ class Trace:
     """A recorded run.  ``moves`` holds one arc id of ``graph.arcs`` per
     move, in the order they were made: round by round, and within a round
     by ascending robot id.  Every robot placed moves once a round, so the
-    round and robot of a move follow from its position and the marks."""
+    round and robot of a move follow from its position and the placements."""
 
     config: SimConfig
     moves: tuple[int, ...]
-    marks: tuple[Mark, ...]
     vertex_visit_counts: tuple[int, ...]
     edge_traversal_counts: tuple[int, ...]
 
@@ -120,6 +123,14 @@ class Trace:
     @property
     def horizon(self) -> int:
         return self.config.horizon
+
+    @property
+    def marks(self) -> tuple[tuple[int, int, int], ...]:
+        """Each placement, a visit that is not a move, as ``(round, robot,
+        vertex)``: derived from the config, not recorded."""
+        placed = _placements(self.config)
+        return tuple((t, rid, v) for rid, (t, v) in enumerate(
+            (t, v) for t in sorted(placed) for v in placed[t]))
 
     @property
     def events(self) -> tuple[Event, ...]:
@@ -159,11 +170,11 @@ class Trace:
                 for text in (round_text, [f"{rid},"] * rounds, arcs)],
                 rounds)))
 
-    def summary_json(self) -> str:
+    def summary_json(self, **extra) -> str:
+        """The run's facts and ``extra``'s, as sorted, indented JSON."""
         payload = {
             "policy": self.config.policy.value,
             "tiebreak": self.config.tiebreak.kind,
-            "seed": self.config.seed,
             "horizon": self.horizon,
             "n": self.graph.n,
             "m": self.graph.m,
@@ -171,16 +182,17 @@ class Trace:
             "events": len(self.moves),
             "vertex_visit_counts": list(self.vertex_visit_counts),
             "edge_traversal_counts": list(self.edge_traversal_counts),
+            **extra,
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 class SimState:
-    """Mutable state of one run, as flat lists indexed by vertex or edge
-    id: ``vlast``/``elast`` hold the last visit/traversal round (-1 for
-    never) and ``vcnt``/``ecnt`` the counts.  ``robots[i]`` is the position
-    of robot ``i``.  ``moves`` (arc ids, see ``Trace``) and ``marks``
-    record the run."""
+    """Mutable state of one run from round 0, as flat lists indexed by
+    vertex or edge id: ``vlast``/``elast`` hold the last visit/traversal
+    round (-1 for never) and ``vcnt``/``ecnt`` the counts.  ``robots[i]``
+    is the position of robot ``i``.  ``moves`` (arc ids, see ``Trace``)
+    records the run; ``arrivals`` holds the placements not made yet."""
 
     def __init__(self, config: SimConfig):
         self.config = config
@@ -192,33 +204,23 @@ class SimState:
         self.ecnt = [0] * g.m
         self.robots: list[int] = []
         self.moves: list[int] = []
-        self.marks: list[Mark] = []
-        self.tiebreak = config.tiebreak.make(default_seed=config.seed)
+        self.arrivals = _placements(config)
+        self.tiebreak = config.tiebreak.make()
         self.keys, self.slot = decision_keys(
             config.policy, g.n, self.vlast, self.vcnt, self.elast, self.ecnt)
-        self._pending = sorted(
-            ((r, i, v) for i, (r, v) in enumerate(config.arrivals)),
-            key=lambda t: (t[0], t[1]))
+        self._place()
 
-    def _add_robot(self, vertex: int, round_: int) -> None:
-        self.marks.append((round_, len(self.robots), vertex))
-        self.robots.append(vertex)
-        self.vlast[vertex] = round_
-        self.vcnt[vertex] += 1
-
-    def _activate_arrivals(self) -> None:
-        while self._pending and self._pending[0][0] <= self.round:
-            _, _, vertex = self._pending.pop(0)
-            self._add_robot(vertex, self.round)
+    def _place(self) -> None:
+        """Place the robots due in this round, marking their vertices."""
+        for v in self.arrivals.pop(self.round):
+            self.robots.append(v)
+            self.vlast[v] = self.round
+            self.vcnt[v] += 1
 
 
 def init(config: SimConfig) -> SimState:
-    """Round 0: place the initial robots and mark their start vertices."""
-    state = SimState(config)
-    for v in config.starts:
-        state._add_robot(v, 0)
-    state._activate_arrivals()  # arrivals scheduled for round 0
-    return state
+    """Round 0: the robots due in it placed, their start vertices marked."""
+    return SimState(config)
 
 
 def step(state: SimState, rounds: int = 1) -> SimState:
@@ -238,12 +240,12 @@ def step(state: SimState, rounds: int = 1) -> SimState:
         raise ValueError(f"{rounds} rounds asked, {left} left to the horizon")
     out, keys, slot = state.graph.out, state.keys, state.slot
     vlast, vcnt, elast, ecnt = state.vlast, state.vcnt, state.elast, state.ecnt
-    robots, pending, record = state.robots, state._pending, state.moves.append
-    choose = state.tiebreak.choose
+    robots, arrivals = state.robots, state.arrivals
+    record, choose = state.moves.append, state.tiebreak.choose
     for t in range(state.round + 1, state.round + rounds + 1):
         state.round = t
-        if pending and pending[0][0] <= t:
-            state._activate_arrivals()
+        if arrivals and t in arrivals:
+            state._place()
         for rid, pos in enumerate(robots):
             tied = tied_entries(out[pos], keys, slot)
             if len(tied) == 1:
@@ -272,12 +274,10 @@ def finish(state: SimState) -> SimState:
 
 
 def run(config: SimConfig) -> Trace:
-    """``init`` plus a step of ``horizon`` rounds, every move and mark
-    recorded."""
+    """``init`` plus a step of ``horizon`` rounds, every move recorded."""
     state = finish(step(init(config), config.horizon))
     return Trace(config=config,
                  moves=tuple(state.moves),
-                 marks=tuple(state.marks),
                  vertex_visit_counts=tuple(state.vcnt),
                  edge_traversal_counts=tuple(state.ecnt))
 

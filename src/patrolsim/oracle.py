@@ -164,7 +164,7 @@ def reference_run(config: SimConfig) -> ReferenceTrace:
 
     # tie-break resolution, re-implemented
     tb = config.tiebreak
-    rng = random.Random(tb.seed if tb.seed is not None else config.seed)
+    rng = random.Random(tb.seed)
     script = list(tb.script or ())
 
     def choose(n_tied: int) -> int:

@@ -32,8 +32,7 @@ def _owners_connected(t: Triangulation, a: int, b: int) -> bool:
     return a == b or t.primal_adjacent(a, b)
 
 
-def assign_owners(t: Triangulation,
-                  node_budget: int = 200_000) -> OwnerMap | OwnershipInfeasible:
+def assign_owners(t: Triangulation) -> OwnerMap | OwnershipInfeasible:
     """Greedy corner choice with backtracking.
 
     Triangles are processed in index order.  Candidate owners are the
@@ -43,6 +42,7 @@ def assign_owners(t: Triangulation,
     On grids this succeeds without backtracking; if the budget runs out an
     infeasibility report is returned instead of raising.
     """
+    budget = 200_000  # candidate tries
     ntri = len(t.triangles)
     dual = t.dual
     shared_corners = [set() for _ in range(ntri)]
@@ -85,7 +85,7 @@ def assign_owners(t: Triangulation,
             continue
         frame[1] = idx + 1
         nodes += 1
-        if nodes > node_budget:
+        if nodes > budget:
             stack.pop()
             continue
         if feasible(ti, cands[idx]):
@@ -101,7 +101,7 @@ def assign_owners(t: Triangulation,
                                  for ti, tj in dual.edges)
         return OwnerMap(triangle_owner=triangle_owner,
                         dual_edge_owners=dual_edge_owners)
-    reason = ("node budget exhausted" if nodes > node_budget
+    reason = ("node budget exhausted" if nodes > budget
               else "no feasible assignment exists")
     return OwnershipInfeasible(nodes_explored=nodes,
                                assigned=tuple(owner),
@@ -126,12 +126,12 @@ class DualEdgeOwnershipReport:
     bound: int                                # the constant checked against
 
 
-def verify_theorem2(t: Triangulation, o: OwnerMap,
-                    bound: int = 18) -> DualEdgeOwnershipReport:
+def verify_theorem2(t: Triangulation, o: OwnerMap) -> DualEdgeOwnershipReport:
     """Restates the connectivity check per dual edge via dual_edge_owners
-    and checks bounded ownership: no primal vertex owns more than ``bound``
-    dual edges (each triangle has <= 3 dual edges and a primal vertex is a
+    and checks bounded ownership: no primal vertex owns more than 18 dual
+    edges (each triangle has <= 3 dual edges and a primal vertex is a
     corner of at most deg-many triangles, so a small constant suffices)."""
+    bound = 18
     violations = []
     owned = [0] * len(t.points)
     for eid, (ti, tj) in enumerate(t.dual.edges):

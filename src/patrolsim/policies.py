@@ -54,19 +54,20 @@ class TieBreakSpec:
         return TieBreakSpec("lowest_id")
 
     @staticmethod
-    def seeded_random(seed: int | None = None) -> "TieBreakSpec":
+    def seeded_random(seed: int) -> "TieBreakSpec":
         return TieBreakSpec("seeded_random", seed=seed)
 
     @staticmethod
     def scripted(indices) -> "TieBreakSpec":
         return TieBreakSpec("scripted", script=tuple(int(i) for i in indices))
 
-    def make(self, default_seed: int = 0):
+    def make(self):
         if self.kind == "lowest_id":
             return LowestId()
         if self.kind == "seeded_random":
-            return SeededRandom(self.seed if self.seed is not None
-                                else default_seed)
+            if self.seed is None:  # Random(None) would seed from the OS
+                raise ValueError("seeded_random tie-break needs a seed")
+            return SeededRandom(self.seed)
         if self.kind == "scripted":
             return Scripted(self.script or ())
         raise ValueError(f"unknown tie-break kind {self.kind!r}")

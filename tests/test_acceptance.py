@@ -75,7 +75,7 @@ def test_criterion_08_ownership():
 
 
 def test_criterion_09_differential():
-    check(verify.criterion_differential(500))
+    check(verify.criterion_differential())
 
 
 def test_criterion_10_cli_determinism(tmp_path):

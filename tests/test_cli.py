@@ -135,7 +135,7 @@ def test_family_spellings_give_one_graph(tmp_path, capsys, family, params,
 
     scenario = write_scenario(tmp_path / "s.json",
                               graph={"family": name, "params": params})
-    config, _ = cli.load_scenario(scenario)
+    config, _, _ = cli.load_scenario(scenario)
     assert dumps_graph(config.graph).encode() == texts[0][0]
 
 
@@ -360,6 +360,26 @@ def test_simulate_flags_override_the_scenario(tmp_path, capsys, tiebreak,
             == (tmp_path / "b" / name).read_bytes()
 
 
+def test_scenario_seed_feeds_a_seeded_random_tiebreak(tmp_path, capsys):
+    # a seeded_random tie-break that names no seed draws from the
+    # top-level seed, and summary.json reports the top-level seed even
+    # where the tie-break names its own
+    runs = {}
+    for name, edits in (
+            ("top", {"seed": 5, "tiebreak": SEEDED}),
+            ("both", {"seed": 5, "tiebreak": {**SEEDED, "seed": 5}}),
+            ("own", {"tiebreak": {**SEEDED, "seed": 5}})):
+        scenario = write_scenario(tmp_path / f"{name}.json", **edits)
+        assert main(["simulate", "--scenario", str(scenario),
+                     "--out-dir", str(tmp_path / name)]) == 0
+        runs[name] = {f: (tmp_path / name / f).read_bytes()
+                      for f in ("events.csv", "metrics.csv")}
+        runs[name]["seed"] = json.loads(
+            (tmp_path / name / "summary.json").read_text())["seed"]
+    assert runs["top"] == runs["both"]
+    assert runs["own"] == {**runs["top"], "seed": 0}
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--horizon", "-1"], "simulate: horizon must be >= 0"),
     (["--policy", "bogus"], "simulate: unknown policy 'bogus'"),
@@ -392,6 +412,47 @@ def test_simulate_witness_replay(tmp_path, capsys):
                  "--witness", str(witness),
                  "--out-dir", str(tmp_path / "o")]) == 0
     assert f"peak_refresh={res.peak} " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tiebreak", [
+    "seeded_random", {"kind": "scripted", "script": [5, 5]}],
+    ids=["seeded-random", "scripted"])
+def test_simulate_witness_replaces_a_valid_tiebreak(tmp_path, capsys,
+                                                    tiebreak):
+    # the witness replaces the scenario's tie-break, as a flag replaces its
+    # key; summary.json still reports the scenario's seed
+    witness = tmp_path / "w.txt"
+    assert main(["search", "four-cycle-chain", "k=2", "--policy", "lrv-v",
+                 "--horizon", "100", "--out", str(witness)]) == 0
+    peak = capsys.readouterr().out.split()[0].removeprefix("peak=")
+    scenario = write_scenario(tmp_path / "s.json", tiebreak=tiebreak, seed=5)
+    assert main(["simulate", "--scenario", str(scenario),
+                 "--witness", str(witness),
+                 "--out-dir", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out.startswith(f"peak_refresh={peak} ")
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert (summary["tiebreak"], summary["seed"]) == ("scripted", 5)
+
+
+@pytest.mark.parametrize("tiebreak,message", [
+    ({"kind": "bogus", "seed": "x"}, "unknown tiebreak kind 'bogus'"),
+    ({"kind": "seeded_random", "seed": "x"},
+     "tiebreak.seed must be an integer, got 'x'"),
+    ({"kind": "lowest_id", "script": []},
+     "tiebreak.script is read only by kind scripted, not lowest_id"),
+], ids=["unknown-kind", "seed-string", "script-on-lowest-id"])
+def test_simulate_witness_with_bad_tiebreak_exits_2(tmp_path, capsys,
+                                                    tiebreak, message):
+    # the scenario's tie-break is checked even where a witness replaces it
+    witness = tmp_path / "w.txt"
+    witness.write_text("")
+    scenario = write_scenario(tmp_path / "s.json", tiebreak=tiebreak,
+                              graph={"family": "path", "params": {"n": 4}})
+    assert main(["simulate", "--scenario", str(scenario),
+                 "--witness", str(witness),
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: scenario: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_witness_with_unread_entry_exits_2(tmp_path, capsys):

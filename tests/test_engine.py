@@ -17,12 +17,13 @@ def test_cycle4_lrv_v_counts_and_peaks():
 
 
 def test_start_marked_at_round_zero():
-    state = init(SimConfig(graph=path_dual(3), policy=PolicyKind.LRV_V,
-                           starts=(1,), horizon=5))
-    assert state.marks == [(0, 0, 1)]
+    cfg = SimConfig(graph=path_dual(3), policy=PolicyKind.LRV_V,
+                    starts=(1,), horizon=5)
+    state = init(cfg)
     assert state.vlast == [-1, 0, -1]
     assert state.vcnt == [0, 1, 0]
     assert state.robots == [1]
+    assert run(cfg).marks == ((0, 0, 1),)
 
 
 def test_robots_act_in_id_order_on_live_state():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patrolsim import generators, oracle
+from patrolsim import engine, generators, oracle, verify
 from patrolsim.engine import SimConfig, run
 from patrolsim.generators import cycle, four_cycle_chain, path_dual
 from patrolsim.graph import Graph
@@ -79,6 +79,33 @@ def test_reference_matches_engine_spot_check():
         starts=(0, 7), horizon=150,
         tiebreak=TieBreakSpec.seeded_random(5),
         arrivals=((10, 3),)))
+
+
+@pytest.mark.parametrize("chunk", [3, 8192])
+def test_reference_matches_engine_on_placements_and_chunk_seams(chunk):
+    # arrivals at round 0 (placed after the starts), two in one round and
+    # one at the horizon, given out of order; a 3-move chunk puts seams
+    # inside the rounds between arrivals
+    cfg = SimConfig(graph=four_cycle_chain(3), policy=PolicyKind.LRV_V,
+                    starts=(0, 7), horizon=40,
+                    tiebreak=TieBreakSpec.seeded_random(2),
+                    arrivals=((17, 5), (40, 1), (0, 9), (17, 2)))
+    with mock.patch.object(engine, "EVENTS_CHUNK", chunk):
+        assert_engine_matches_reference(cfg)
+    assert run(cfg).marks == ((0, 0, 0), (0, 1, 7), (0, 2, 9), (17, 3, 5),
+                              (17, 4, 2), (40, 5, 1))
+
+
+def test_long_differential_cases_cut_the_rounds_between_arrivals():
+    # criterion 9 catches a walker that misplaces a chunk seam only where
+    # a seam falls between two arrivals: a chunk that places no robot
+    long = [cfg for case, cfg in verify._differential_configs()
+            if case >= 500]
+    cut = [cfg for cfg in long
+           if any(not placed for first, *_, placed in engine._chunks(cfg)
+                  if first > 1)]
+    assert len(long) == 12 and len(cut) >= 10
+    assert all(len(run(cfg).moves) > engine.EVENTS_CHUNK for cfg in long)
 
 
 # (peak, witness, complete, nodes explored) of the search from the far end

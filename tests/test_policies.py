@@ -170,6 +170,12 @@ def test_tiebreak_spec_unknown_kind():
         TieBreakSpec("coinflip").make()
 
 
+def test_seeded_random_spec_without_seed_is_rejected():
+    # Random(None) would draw from the OS: a run would not repeat
+    with pytest.raises(ValueError, match="needs a seed"):
+        TieBreakSpec("seeded_random").make()
+
+
 @given(st.integers(0, 2**64),
        st.lists(st.one_of(st.integers(1, 9),
                           st.integers(2**32 + 1, 2**32 + 2**20)),

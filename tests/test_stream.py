@@ -121,13 +121,12 @@ def recorded_outputs(cfg) -> dict[str, bytes]:
     """The outputs as built from a whole recorded trace."""
     trace = run(cfg)
     series = refresh_series(trace)
-    summary = json.loads(trace.summary_json())
-    summary["peak_refresh"] = max(series.vertex_peak, default=0)
-    summary["coverage_time"] = series.coverage_time
+    summary = trace.summary_json(
+        seed=0, peak_refresh=max(series.vertex_peak, default=0),
+        coverage_time=series.coverage_time)
     return {"events.csv": trace.events_csv().encode(),
             "metrics.csv": metrics_csv(series).encode(),
-            "summary.json": (json.dumps(summary, sort_keys=True, indent=2)
-                             + "\n").encode()}
+            "summary.json": summary.encode()}
 
 
 TIEBREAKS = {"lowest_id": ("lowest_id", TieBreakSpec.lowest_id()),
