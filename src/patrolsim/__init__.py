@@ -7,7 +7,7 @@ from .generators import (FamilySpec, cycle, diamond_gadget_chain,
                          path_dual)
 from .graph import (DisconnectedGraphError, Graph, GraphError,
                     GraphFormatError, diameter, load_graph, save_graph)
-from .metrics import (GrowthFit, RefreshMeter, RefreshSeries, fit_growth,
+from .metrics import (RefreshMeter, RefreshSeries, fit_growth,
                       refresh_series, vertex_peak_refresh)
 from .oracle import WorstCaseResult, exhaustive_tiebreak_search, reference_run
 from .ownership import (OwnerMap, OwnershipInfeasible, assign_owners,

@@ -155,8 +155,9 @@ def _reject_unknown(mapping: dict, allowed: set, path: str) -> None:
 def _parse_tiebreak(raw, seed: int) -> TieBreakSpec:
     """A tiebreak object, or a string naming its kind; ``-`` may stand for
     ``_`` in the kind.  A seeded_random that names no seed draws from
-    ``seed``.  A seed or script that the kind does not read is a usage
-    error, not silently dropped."""
+    ``seed``, and a seed it names, null too, must be an integer.  A seed
+    or script that the kind does not read is a usage error, not silently
+    dropped."""
     if raw is None:
         return TieBreakSpec.lowest_id()
     if isinstance(raw, str):
@@ -172,9 +173,9 @@ def _parse_tiebreak(raw, seed: int) -> TieBreakSpec:
             raise CliError(f"scenario: tiebreak.{key} is read only by kind "
                            f"{reader}, not {kind}")
     if kind == "seeded_random":
-        own = raw.get("seed")
         return TieBreakSpec.seeded_random(
-            seed if own is None else _check(own, int, "tiebreak.seed"))
+            _check(raw["seed"], int, "tiebreak.seed") if "seed" in raw
+            else seed)
     if kind == "scripted":
         return TieBreakSpec.scripted(
             _check(i, int, "tiebreak.script[]")
@@ -393,10 +394,9 @@ def cmd_sweep(args) -> int:
                       for value, peaks in sorted(points.items())
                       if sum(peaks) > 0]
             if len(series) >= 3:
-                fit = fit_growth(series, args.fit)
-                stat = (f"exponent={fit.exponent:.3f}" if args.fit == "power"
-                        else f"ratio={fit.ratio:.3f}")
-                fit_lines.append(f"{policy} robots={robots}: {stat}")
+                stat = "exponent" if args.fit == "power" else "ratio"
+                fit_lines.append(f"{policy} robots={robots}: {stat}="
+                                 f"{fit_growth(series, args.fit):.3f}")
     fits = "".join(f"{line}\n" for line in fit_lines)
     out_dir = Path(args.out_dir)
     _write("sweep", {

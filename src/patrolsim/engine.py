@@ -238,7 +238,7 @@ def step(state: SimState, rounds: int = 1) -> SimState:
     left = state.config.horizon - state.round
     if not 0 <= rounds <= left:
         raise ValueError(f"{rounds} rounds asked, {left} left to the horizon")
-    out, keys, slot = state.graph.out, state.keys, state.slot
+    adj, keys, slot = state.graph.adj, state.keys, state.slot
     vlast, vcnt, elast, ecnt = state.vlast, state.vcnt, state.elast, state.ecnt
     robots, arrivals = state.robots, state.arrivals
     record, choose = state.moves.append, state.tiebreak.choose
@@ -247,7 +247,7 @@ def step(state: SimState, rounds: int = 1) -> SimState:
         if arrivals and t in arrivals:
             state._place()
         for rid, pos in enumerate(robots):
-            tied = tied_entries(out[pos], keys, slot)
+            tied = tied_entries(adj[pos], keys, slot)
             if len(tied) == 1:
                 to, via, arc = tied[0]
             elif tied:

@@ -61,13 +61,12 @@ class Graph:
     canonical order makes every downstream iteration (and hence every
     lowest-id tie-break) reproducible regardless of input edge order.
 
-    ``adj[v]`` lists the entries ``(neighbor, edge id)`` of v.  Each entry
-    is also a directed edge, an arc, numbered in ``adj`` order:
-    ``arcs[a]`` is ``(from, edge id, to)``, and ``out[v]`` lists
-    ``(neighbor, edge id, arc id)`` in the order of ``adj[v]``.
+    ``adj[v]`` lists the entries ``(neighbor, edge id, arc id)`` of v,
+    ascending by neighbor.  Each entry is also a directed edge, an arc,
+    numbered in ``adj`` order: ``arcs[a]`` is ``(from, edge id, to)``.
     """
 
-    __slots__ = ("n", "edges", "adj", "arcs", "out", "meta")
+    __slots__ = ("n", "edges", "adj", "arcs", "meta")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  meta: Mapping[str, str] | None = None):
@@ -78,28 +77,28 @@ class Graph:
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = tuple(
             sorted((u, v) if u < v else (v, u) for u, v in edges))
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for eid, (u, v) in enumerate(self.edges):
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
-        self.adj: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-            tuple(sorted(entries)) for entries in adj)
+            incident[u].append((v, eid))
+            incident[v].append((u, eid))
+        pairs = tuple(tuple(sorted(entries)) for entries in incident)
+        adj: list[tuple[tuple[int, int, int], ...]] = []
         arcs: list[tuple[int, int, int]] = []
-        out: list[tuple[tuple[int, int, int], ...]] = []
-        for v, entries in enumerate(self.adj):
-            out.append(tuple((w, eid, len(arcs) + i)
+        for v, entries in enumerate(pairs):
+            adj.append(tuple((w, eid, len(arcs) + i)
                              for i, (w, eid) in enumerate(entries)))
             arcs.extend((v, eid, w) for w, eid in entries)
         self.arcs = tuple(arcs)
-        self.out = tuple(out)
+        self.adj = tuple(adj)
         self.meta: dict[str, str] = dict(meta or {})
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
-        """Adjacency entries (neighbor, edge id) of v, ascending by neighbor."""
+    def neighbors(self, v: int) -> tuple[tuple[int, int, int], ...]:
+        """Adjacency entries (neighbor, edge id, arc id) of v, ascending by
+        neighbor."""
         if not (0 <= v < self.n):
             raise GraphError(f"vertex {v} out of range for n={self.n}")
         return self.adj[v]
@@ -140,7 +139,7 @@ def _bfs_distances(g: Graph, source: int) -> list[int]:
     while frontier:
         nxt = []
         for u in frontier:
-            for v, _ in g.adj[u]:
+            for v, _, _ in g.adj[u]:
                 if dist[v] < 0:
                     dist[v] = dist[u] + 1
                     nxt.append(v)

@@ -21,15 +21,6 @@ class RefreshSeries:
     coverage_time: int | None         # first round with all vertices visited
 
 
-@dataclass(frozen=True)
-class GrowthFit:
-    model: str                        # "power" | "geometric"
-    params: tuple[float, ...]
-    values: tuple[float, ...]
-    exponent: float | None            # power model: value ~ param**exponent
-    ratio: float | None               # geometric model: value ~ ratio**param
-
-
 class RefreshMeter:
     """Every refresh metric of one run, kept online as its visits are fed in.
 
@@ -125,8 +116,9 @@ def metrics_csv(series: RefreshSeries) -> str:
                                 map(fractions.__getitem__, series.covered))))
 
 
-def fit_growth(points: Sequence[tuple[float, float]], model: str) -> GrowthFit:
-    """Least-squares line through (x, log value) points.
+def fit_growth(points: Sequence[tuple[float, float]], model: str) -> float:
+    """The exponent (power) or ratio (geometric) of the least-squares line
+    through (x, log value) points.
 
     power:     log value = a + exponent * log param
     geometric: log value = a + log(ratio) * param
@@ -147,6 +139,4 @@ def fit_growth(points: Sequence[tuple[float, float]], model: str) -> GrowthFit:
     mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
     slope = (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
              / sum((x - mx) ** 2 for x in xs))
-    return GrowthFit(model=model, params=params, values=values,
-                     exponent=slope if model == "power" else None,
-                     ratio=math.exp(slope) if model == "geometric" else None)
+    return slope if model == "power" else math.exp(slope)

@@ -13,9 +13,6 @@ from .policies import PolicyKind, decision_keys, tied_entries
 
 @dataclass(frozen=True)
 class WorstCaseResult:
-    policy: PolicyKind
-    start: int
-    horizon: int
     peak: int                      # worst per-vertex peak refresh found
     witness: tuple[int, ...]       # SCRIPTED choice indices reproducing it
     complete: bool                 # False: budget hit, peak is a lower bound
@@ -129,8 +126,7 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
             else:
                 keys[entry[1]] = t
         t += 1
-    return WorstCaseResult(policy=policy, start=start, horizon=horizon,
-                           peak=best_peak, witness=best_witness,
+    return WorstCaseResult(peak=best_peak, witness=best_witness,
                            complete=complete, nodes_explored=nodes)
 
 

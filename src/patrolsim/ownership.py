@@ -22,9 +22,7 @@ class OwnerMap:
 
 @dataclass(frozen=True)
 class OwnershipInfeasible:
-    """Search gave up within budget; carries the best partial assignment."""
-    nodes_explored: int
-    assigned: tuple[int, ...]       # -1 where unassigned
+    """The search found no assignment: out of budget, or none exists."""
     message: str
 
 
@@ -55,7 +53,7 @@ def assign_owners(t: Triangulation) -> OwnerMap | OwnershipInfeasible:
     nodes = 0
 
     def candidates(ti: int) -> list[int]:
-        assigned_nbr_owners = [owner[tj] for tj, _ in dual.neighbors(ti)
+        assigned_nbr_owners = [owner[tj] for tj, _, _ in dual.neighbors(ti)
                                if owner[tj] >= 0]
 
         def key(c: int):
@@ -68,7 +66,7 @@ def assign_owners(t: Triangulation) -> OwnerMap | OwnershipInfeasible:
 
     def feasible(ti: int, c: int) -> bool:
         return all(_owners_connected(t, c, owner[tj])
-                   for tj, _ in dual.neighbors(ti) if owner[tj] >= 0)
+                   for tj, _, _ in dual.neighbors(ti) if owner[tj] >= 0)
 
     # Depth-first on an explicit stack, one frame per triangle on the
     # path: [candidate corners, index of the next one].  Past the budget
@@ -101,11 +99,8 @@ def assign_owners(t: Triangulation) -> OwnerMap | OwnershipInfeasible:
                                  for ti, tj in dual.edges)
         return OwnerMap(triangle_owner=triangle_owner,
                         dual_edge_owners=dual_edge_owners)
-    reason = ("node budget exhausted" if nodes > budget
-              else "no feasible assignment exists")
-    return OwnershipInfeasible(nodes_explored=nodes,
-                               assigned=tuple(owner),
-                               message=reason)
+    return OwnershipInfeasible("node budget exhausted" if nodes > budget
+                               else "no feasible assignment exists")
 
 
 def verify_theorem1(t: Triangulation, o: OwnerMap) -> list[tuple[int, int]]:

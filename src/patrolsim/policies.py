@@ -125,8 +125,8 @@ _NO_KEY = 1 << 62
 def decision_keys(policy: PolicyKind, n: int, vlast: list[int],
                   vcnt: list[int], elast: list[int], ecnt: list[int]):
     """``(keys, slot)`` for ``tied_entries``: the policy minimizes
-    ``keys[entry[slot]]`` over the adjacency entries ``(neighbor, edge)``
-    of the current vertex.
+    ``keys[entry[slot]]`` over the entries ``(neighbor, edge, arc)`` of
+    the current vertex in ``Graph.adj``.
 
     ``vlast``/``elast`` hold the last visit/traversal round (-1 for never,
     which precedes every round) and ``vcnt``/``ecnt`` the counts; the key
@@ -153,9 +153,10 @@ def decision_keys(policy: PolicyKind, n: int, vlast: list[int],
 
 
 def tied_entries(entries, keys: list[int], slot: int) -> list:
-    """The entries minimizing ``keys[entry[slot]]``, in their given order,
-    as a new list; empty for no entries.  It runs once per robot move and
-    once per search node.
+    """The entries of one ``Graph.adj`` list, ``(neighbor, edge, arc)``,
+    that minimize ``keys[entry[slot]]``, in their given order, as a new
+    list; empty for no entries.  It runs once per robot move and once per
+    search node.
 
     Two and three entries, the degrees of a triangulation dual's boundary
     and inner triangles, take straight-line comparisons; other sizes take

@@ -54,25 +54,21 @@ def _coverage_families() -> dict[str, Graph]:
 def criterion_coverage() -> CheckResult:
     """1: every policy fully covers every family within 10*n*d rounds.
 
-    Runs of n, 2n, 4n, ... rounds, capped at the budget, stop at the first
-    that covers the graph.  A shorter run is a prefix of a longer one, so
-    its coverage time is exact."""
+    One run per family and policy, stepped a round at a time until every
+    vertex is visited or the budget is spent."""
     worst = []
     for name, g in _coverage_families().items():
-        d = diameter(g)
-        budget = 10 * g.n * d
+        budget = 10 * g.n * diameter(g)
         for pol in ALL_POLICIES:
-            ct, horizon = None, g.n
-            while ct is None and horizon // 2 < budget:
-                ct = run_series(SimConfig(
-                    graph=g, policy=pol, starts=(0,),
-                    horizon=min(horizon, budget))).coverage_time
-                horizon *= 2
-            if ct is None:
+            state = init(SimConfig(graph=g, policy=pol, starts=(0,),
+                                   horizon=budget))
+            while min(state.vcnt) == 0 and state.round < budget:
+                step(state)
+            if min(state.vcnt) == 0:
                 return CheckResult("coverage", False,
                                    f"{name} under {pol.value}: no coverage "
                                    f"within {budget} rounds")
-            worst.append(ct / budget)
+            worst.append(state.round / budget)
     return CheckResult("coverage", True,
                        f"all families covered; worst coverage time used "
                        f"{max(worst):.1%} of the 10*n*d budget")
@@ -139,7 +135,7 @@ def criterion_quadratic_growth() -> CheckResult:
             peaks = run_series(SimConfig(graph=g, policy=pol, starts=(0,),
                                          horizon=60 * k * k)).vertex_peak
             points.append((k, max(peaks[4 * (k - 1):])))
-        exponent = fit_growth(points, "power").exponent
+        exponent = fit_growth(points, "power")
         details.append(f"{pol.value}: exponent {exponent:.2f}")
         if not 1.6 <= exponent <= 2.5:
             return CheckResult("quadratic-growth", False,
@@ -173,7 +169,7 @@ def criterion_lrv_worst_case() -> CheckResult:
                                f"k={k}: search peak {res.peak} below "
                                f"lowest-id peak {default}")
         points.append((k, res.peak))
-    ratio = fit_growth(points, "geometric").ratio
+    ratio = fit_growth(points, "geometric")
 
     gadget_points = []
     for k in (1, 2, 3):
@@ -181,7 +177,7 @@ def criterion_lrv_worst_case() -> CheckResult:
         res = exhaustive_tiebreak_search(g, PolicyKind.LRV_E, 0, 40 * (k + 1),
                                          node_budget=3_000_000)
         gadget_points.append((k, res.peak))
-    gadget_ratio = fit_growth(gadget_points, "geometric").ratio
+    gadget_ratio = fit_growth(gadget_points, "geometric")
 
     passed = ratio >= 1.5 or gadget_ratio >= 1.5
     detail = (f"four_cycle_chain peaks {points}, ratio {ratio:.2f}; "
@@ -358,21 +354,65 @@ def _differential_configs():
                       else TieBreakSpec.seeded_random(case)))
 
 
+def _witness_cases():
+    """Criterion 9's tie-break searches of one robot from vertex 0, as
+    ``(name, graph, policy, horizon)``."""
+    return (
+        ("four_cycle_chain(2)", generators.four_cycle_chain(2),
+         PolicyKind.LRV_V, 80),
+        ("four_cycle_chain(3)", generators.four_cycle_chain(3),
+         PolicyKind.LRV_V, 120),
+        ("diamond_gadget_chain(1)", generators.diamond_gadget_chain(1),
+         PolicyKind.LRV_E, 80),
+        ("cycle(5)", generators.cycle(5), PolicyKind.LFV_E, 60),
+    )
+
+
+def _diverges(tr, ref) -> bool:
+    """Whether an engine trace and a reference trace differ."""
+    return (tr.events != ref.events or tr.marks != ref.marks
+            or tr.vertex_visit_counts != ref.vertex_visit_counts
+            or tr.edge_traversal_counts != ref.edge_traversal_counts)
+
+
+def _replays_witness(g: Graph, policy: PolicyKind, horizon: int) -> bool:
+    """Whether the search's witness, replayed as a SCRIPTED tie-break,
+    gives the engine and the reference one run, with the searched peak."""
+    res = exhaustive_tiebreak_search(g, policy, 0, horizon)
+    cfg = SimConfig(graph=g, policy=policy, starts=(0,), horizon=horizon,
+                    tiebreak=TieBreakSpec.scripted(res.witness))
+    tr = run(cfg)
+    return (not _diverges(tr, reference_run(cfg))
+            and max(refresh_series(tr).vertex_peak) == res.peak)
+
+
 def criterion_differential() -> CheckResult:
     """9: engine and reference simulator produce identical traces and
-    placements on every config of ``_differential_configs``."""
+    placements on every config of ``_differential_configs``, and so does
+    the witness of each tie-break search of ``_witness_cases``, which the
+    engine replays to the searched peak.  An exception on either side
+    fails the case."""
     for case, cfg in _differential_configs():
-        tr = run(cfg)
-        ref = reference_run(cfg)
-        if (tr.events != ref.events or tr.marks != ref.marks
-                or tr.vertex_visit_counts != ref.vertex_visit_counts
-                or tr.edge_traversal_counts != ref.edge_traversal_counts):
+        if _diverges(run(cfg), reference_run(cfg)):
             return CheckResult("differential", False,
                                f"case {case}: engine and reference diverge "
                                f"(n={cfg.graph.n}, policy={cfg.policy.value}"
                                f", horizon={cfg.horizon})")
+    witnesses = _witness_cases()
+    for name, g, policy, horizon in witnesses:
+        where = f"{name} {policy.value} witness at horizon {horizon}"
+        try:
+            replayed = _replays_witness(g, policy, horizon)
+        except Exception as exc:  # a broken side may raise anything
+            return CheckResult("differential", False,
+                               f"{where}: {type(exc).__name__}: {exc}")
+        if not replayed:
+            return CheckResult("differential", False,
+                               f"{where}: engine, reference and search "
+                               "diverge")
     return CheckResult("differential", True,
-                       f"{case + 1} randomized configs identical")
+                       f"{case + 1} randomized configs and "
+                       f"{len(witnesses)} search witnesses identical")
 
 
 # --- suites --------------------------------------------------------------

@@ -315,12 +315,15 @@ def test_simulate_outputs_match_golden_hashes(tmp_path, policy, kind):
     ({"tiebreak": {"kind": "lowest-id", "seed": 3}},
      "scenario: tiebreak.seed is read only by kind seeded_random, "
      "not lowest_id"),
+    ({"tiebreak": {"kind": "seeded_random", "seed": None}},
+     "scenario: tiebreak.seed must be an integer, got None"),
 ], ids=["start-string", "start-bool", "arrival-short", "policy-int",
         "horizon-string", "horizon-bool", "seed-float", "script-empty",
         "isolated-start", "param-string", "script-string", "output-int",
         "robots-list", "tiebreak-string-unknown", "tiebreak-kind-unknown",
         "graph-file-and-family", "graph-file-and-params",
-        "script-on-lowest-id", "seed-on-scripted", "seed-on-lowest-id"])
+        "script-on-lowest-id", "seed-on-scripted", "seed-on-lowest-id",
+        "tiebreak-seed-null"])
 def test_simulate_bad_scenario_exits_2(tmp_path, capsys, overrides, message):
     scenario = write_scenario(tmp_path / "s.json", **overrides)
     assert main(["simulate", "--scenario", str(scenario),
@@ -481,6 +484,44 @@ def test_sweep(tmp_path, capsys):
     assert len(rows) == 1 + 3 * 2 * 2
     fits = (out_dir / "fits.txt").read_text()
     assert "lrv-v robots=1: exponent=" in fits
+
+
+# sha256 of each output a growth fit or a diameter reaches, recorded before
+# fit_growth returned a bare float and the adjacency became one table
+FIT_AND_DIAMETER_OUTPUTS = {
+    ("power", "sweep.csv"):
+        "11144147dc86b0305e1e23b7d4367a13ad34f9a51e1e3ee5c8da60325f772e41",
+    ("power", "fits.txt"):
+        "61ee6660000bc2ca745034d52a931074026a2983eda3c08a42f061280704f7ec",
+    ("geometric", "sweep.csv"):
+        "1d521830473a5a4393207dc8c24ca82c93a51a4d100d87a0d69b31c1b858d8b6",
+    ("geometric", "fits.txt"):
+        "5523d0e0b0e1111d8ec127a41bc5706aabde4d1f5bbc47860c53a9f88c436ce9",
+    ("generate", "stdout"):
+        "e035a88f359e3b901d817f2ea7649977e4fabde4bae86e8f61adca442e6cb8f9",
+}
+
+
+def test_fit_and_diameter_outputs_match_golden_hashes(tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PATROLSIM_WORKERS", "1")
+    assert main(["sweep", "--family", "four-cycle-chain", "--sweep", "k=3..7",
+                 "--policies", "lrv-v,lfv-e", "--robots", "1,2",
+                 "--seeds", "0,1", "--horizon", "300",
+                 "--out-dir", "power"]) == 0
+    assert main(["sweep", "--family", "four-cycle-chain", "--sweep", "k=3..5",
+                 "--policies", "lrv-v", "--horizon", "200",
+                 "--fit", "geometric", "--out-dir", "geometric"]) == 0
+    capsys.readouterr()
+    assert main(["generate", "grid", "w=6", "h=4", "--out", "g.graph"]) == 0
+    digests = {(name, f): hashlib.sha256(
+        (tmp_path / name / f).read_bytes()).hexdigest()
+        for name in ("power", "geometric")
+        for f in ("sweep.csv", "fits.txt")}
+    digests["generate", "stdout"] = hashlib.sha256(
+        capsys.readouterr().out.encode()).hexdigest()
+    assert digests == FIT_AND_DIAMETER_OUTPUTS
 
 
 def test_sweep_bad_range(tmp_path, capsys):

@@ -15,7 +15,7 @@ def bfs_all_pairs_diameter(g):
         queue = [s]
         while queue:
             u = queue.pop(0)
-            for v, _ in g.neighbors(u):
+            for v, _, _ in g.neighbors(u):
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     queue.append(v)
@@ -26,14 +26,15 @@ def bfs_all_pairs_diameter(g):
 
 def test_cycle4_neighbors():
     g = cycle(4)
-    # edges sorted lexicographically: (0,1)=e0, (0,3)=e1, (1,2)=e2, (2,3)=e3
-    assert g.neighbors(0) == ((1, 0), (3, 1))
-    assert g.neighbors(2) == ((1, 2), (3, 3))
+    # edges sorted lexicographically: (0,1)=e0, (0,3)=e1, (1,2)=e2, (2,3)=e3;
+    # arcs numbered in adjacency order, two per vertex
+    assert g.neighbors(0) == ((1, 0, 0), (3, 1, 1))
+    assert g.neighbors(2) == ((1, 2, 4), (3, 3, 5))
 
 
 def test_path_interior_neighbors():
     g = path_dual(3)
-    assert [v for v, _ in g.neighbors(1)] == [0, 2]
+    assert [v for v, _, _ in g.neighbors(1)] == [0, 2]
 
 
 def test_four_cycle_chain_connector_degree():
@@ -50,8 +51,8 @@ def test_neighbors_out_of_range():
 def test_adjacency_symmetric_with_same_edge_id():
     g = four_cycle_chain(3)
     for u in range(g.n):
-        for v, eid in g.neighbors(u):
-            assert (u, eid) in g.neighbors(v)
+        for v, eid, _ in g.neighbors(u):
+            assert (u, eid) in [(w, e) for w, e, _ in g.neighbors(v)]
     assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m
 
 
@@ -60,14 +61,16 @@ def test_adjacency_symmetric_with_same_edge_id():
                          ids=["cycle4", "path1", "four-cycle-chain3",
                               "diamond-chain2"])
 def test_arcs_number_the_adjacency_entries(g):
-    # arc ids run over adj in order: out[v] extends adj[v] by the id, and
-    # arcs[id] reads the entry back as (from, edge, to)
+    # arc ids run over adj in order, adj[v] holds v's edges ascending by
+    # neighbor, and arcs[id] reads the entry back as (from, edge, to)
     assert len(g.arcs) == 2 * g.m
-    assert [a for v in range(g.n) for _, _, a in g.out[v]] \
+    assert [a for v in range(g.n) for _, _, a in g.adj[v]] \
         == list(range(2 * g.m))
     for v in range(g.n):
-        assert [(w, eid) for w, eid, _ in g.out[v]] == list(g.adj[v])
-        for w, eid, a in g.out[v]:
+        assert [(w, eid) for w, eid, _ in g.adj[v]] == sorted(
+            (b if a == v else a, eid) for eid, (a, b) in enumerate(g.edges)
+            if v in (a, b))
+        for w, eid, a in g.adj[v]:
             assert g.arcs[a] == (v, eid, w)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -106,6 +107,31 @@ def test_long_differential_cases_cut_the_rounds_between_arrivals():
                   if first > 1)]
     assert len(long) == 12 and len(cut) >= 10
     assert all(len(run(cfg).moves) > engine.EVENTS_CHUNK for cfg in long)
+
+
+def test_witness_cases_replay_complete_searches_with_ties():
+    # criterion 9 replays each witness as a script: a witness with no
+    # choice would read no script entry and check nothing of the replay
+    for name, g, policy, horizon in verify._witness_cases():
+        res = exhaustive_tiebreak_search(g, policy, 0, horizon)
+        assert res.complete and res.witness, name
+
+
+@pytest.mark.parametrize("search,detail", [
+    (lambda *args: [][0],
+     "IndexError: list index out of range"),
+    (lambda *args: dataclasses.replace(
+        exhaustive_tiebreak_search(*args), peak=0),
+     "engine, reference and search diverge"),
+], ids=["search-raises", "peak-differs"])
+def test_witness_replay_failure_is_a_fail_line(monkeypatch, search, detail):
+    # only the witness cases run; a side that raises fails its case
+    # instead of ending the check with a traceback
+    monkeypatch.setattr(verify, "_differential_configs", lambda: iter(()))
+    monkeypatch.setattr(verify, "exhaustive_tiebreak_search", search)
+    assert verify.criterion_differential().line() == (
+        "FAIL differential: four_cycle_chain(2) lrv-v witness at horizon 80: "
+        + detail)
 
 
 # (peak, witness, complete, nodes explored) of the search from the far end

@@ -52,33 +52,34 @@ def test_policy_parse():
 
 def test_lrv_v_prefers_unvisited():
     # from vertex 0 on cycle(4): neighbor 1 visited, neighbor 3 never
-    assert tied_on_cycle4(PolicyKind.LRV_V, vmarks=[(1, 1)]) == [(3, 1)]
+    assert tied_on_cycle4(PolicyKind.LRV_V, vmarks=[(1, 1)]) == [(3, 1, 1)]
 
 
 def test_lrv_v_older_visit_wins():
     assert tied_on_cycle4(PolicyKind.LRV_V,
-                          vmarks=[(1, 1), (3, 2)]) == [(1, 0)]
+                          vmarks=[(1, 1), (3, 2)]) == [(1, 0, 0)]
 
 
 def test_lfv_v_minimum_count():
     assert tied_on_cycle4(PolicyKind.LFV_V,
-                          vmarks=[(1, 1), (1, 2), (3, 2)]) == [(3, 1)]
+                          vmarks=[(1, 1), (1, 2), (3, 2)]) == [(3, 1, 1)]
 
 
 def test_edge_policies_order_ties_by_edge_id():
-    # vertex 2 on cycle(4) has edges e2 (to 1) and e3 (to 3), both fresh
-    assert tied_on_cycle4(PolicyKind.LRV_E, at=2) == [(1, 2), (3, 3)]
-    assert tied_on_cycle4(PolicyKind.LFV_E, at=2) == [(1, 2), (3, 3)]
+    # vertex 2 on cycle(4) has edges e2 (to 1, arc 4) and e3 (to 3, arc 5),
+    # both fresh
+    assert tied_on_cycle4(PolicyKind.LRV_E, at=2) == [(1, 2, 4), (3, 3, 5)]
+    assert tied_on_cycle4(PolicyKind.LFV_E, at=2) == [(1, 2, 4), (3, 3, 5)]
 
 
 def test_lrv_e_prefers_untraversed():
     assert tied_on_cycle4(PolicyKind.LRV_E, at=2,
-                          emarks=[(2, 1)]) == [(3, 3)]
+                          emarks=[(2, 1)]) == [(3, 3, 5)]
 
 
 def test_random_policy_ties_everything():
     assert tied_on_cycle4(PolicyKind.RANDOM,
-                          vmarks=[(1, 1)]) == [(1, 0), (3, 1)]
+                          vmarks=[(1, 1)]) == [(1, 0, 0), (3, 1, 1)]
 
 
 def test_isolated_vertex():
@@ -138,7 +139,7 @@ def test_decide_is_pure():
     entries = g.adj[0]
     tied_at(g, PolicyKind.LFV_V, 0, state)
     assert [list(keys) for keys in state] == before
-    assert g.adj[0] is entries and entries == ((1, 0), (3, 1))
+    assert g.adj[0] is entries and entries == ((1, 0, 0), (3, 1, 1))
 
 
 @pytest.mark.parametrize("shape", [2, 3], ids=["adj", "out"])
@@ -146,7 +147,8 @@ def test_decide_is_pure():
 def test_tied_entries_equals_naive_minimum(slot, shape):
     # every assignment of keys from {-1, 0, 1} to 0-5 entries: the
     # straight-line paths for 2 and 3 entries and the loop must all keep
-    # exactly the least-key entries in their given order
+    # exactly the least-key entries in their given order.  Graph.adj's
+    # entries are triples; pairs show that the kernel reads only the slot
     for k in range(6):
         # entry i reads keys[i] through the slot; its other field reads a
         # distinct key above all of them, so reading the wrong slot shows

@@ -45,10 +45,10 @@ def test_degree_sum_and_roundtrip(seed):
 def test_adjacency_symmetry(seed):
     g = random_connected_graph(seed)
     for u in range(g.n):
-        for v, eid in g.neighbors(u):
+        for v, eid, _ in g.neighbors(u):
             lo, hi = min(u, v), max(u, v)
             assert g.edges[eid] == (lo, hi)
-            assert (u, eid) in g.neighbors(v)
+            assert (u, eid) in [(w, e) for w, e, _ in g.neighbors(v)]
 
 
 @given(st.integers(0, 10**9))
