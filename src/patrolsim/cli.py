@@ -35,28 +35,50 @@ class CliError(Exception):
         self.code = code
 
 
+def _check_outputs(command: str, paths: dict,
+                   out_dir: Path | None = None) -> dict:
+    """Resolve ``paths``, ``{name: path}``, through symlinks and ``..``, and
+    return ``{name: resolved path}``.
+
+    Two outputs on one file, a path naming a directory and, when no
+    ``out_dir`` will be made, a parent that is not a directory are usage
+    errors naming the given path, so a command can check its outputs
+    before it does any work."""
+    named, resolved = {}, {}
+    for name, path in paths.items():
+        real = Path(os.path.realpath(path))
+        other = named.setdefault(real, name)
+        if other != name:
+            raise CliError(f"{command}: outputs {other} and {name} are "
+                           f"both written to {path}")
+        code = None
+        if real.is_dir():
+            code = errno.EISDIR
+        elif out_dir is None and not real.parent.is_dir():
+            code = errno.ENOTDIR if real.parent.exists() else errno.ENOENT
+        if code is not None:
+            raise CliError(
+                f"{command}: {OSError(code, os.strerror(code), str(path))}")
+        resolved[name] = real
+    return resolved
+
+
 def _write(command: str, outputs: dict, out_dir: Path | None = None) -> None:
     """Write ``outputs``, ``{name: (path, text or writer(file))}``, together.
 
-    Every path is resolved once, through symlinks and ``..``: two outputs
-    on one file, or a path naming a directory, fail before anything is
+    ``_check_outputs`` resolves and checks every path before anything is
     made.  ``out_dir`` and its missing parents are made next.  Each output
     is written to a temporary sibling, and only when all are written are
     they renamed onto their paths; a file replaced keeps its permission
     bits.  On failure the temporaries and the directories made are
     removed, and an ``OSError`` becomes a usage error."""
-    targets, named, made, temps = [], {}, [], []
+    resolved = _check_outputs(
+        command, {name: path for name, (path, _) in outputs.items()},
+        out_dir)
+    targets = [(resolved[name], content)
+               for name, (_, content) in outputs.items()]
+    made, temps = [], []
     try:
-        for name, (path, content) in outputs.items():
-            real = Path(os.path.realpath(path))
-            other = named.setdefault(real, name)
-            if other != name:
-                raise CliError(f"{command}: outputs {other} and {name} are "
-                               f"both written to {path}")
-            if real.is_dir():
-                raise IsADirectoryError(errno.EISDIR,
-                                        os.strerror(errno.EISDIR), str(real))
-            targets.append((real, content))
         if out_dir is not None:
             made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -411,6 +433,7 @@ def cmd_search(args) -> int:
     spec = _family_spec(args.family, _parse_params(args.params))
     budget = {} if args.budget is None else {"node_budget": args.budget}
     out = Path(args.out)
+    _check_outputs("search", {"witness": out})
     # an unknown policy, a start out of range and a negative horizon or
     # budget are input errors
     try:

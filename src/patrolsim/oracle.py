@@ -11,12 +11,23 @@ from .graph import Graph
 from .policies import PolicyKind, decision_keys, tied_entries
 
 
+# A smaller subtree costs less to walk again than to store: a stored
+# state keeps vlast and the key list as tuples.
+MEMO_MIN_NODES = 1024
+
+
 @dataclass(frozen=True)
 class WorstCaseResult:
     peak: int                      # worst per-vertex peak refresh found
     witness: tuple[int, ...]       # SCRIPTED choice indices reproducing it
     complete: bool                 # False: budget hit, peak is a lower bound
     nodes_explored: int
+
+
+def _state(vlast: list[int], keys: list[int] | None) -> tuple:
+    """The part of a search node's state kept in lists: ``keys`` is None
+    where the policy's keys are ``vlast`` or constant."""
+    return tuple(vlast) if keys is None else (tuple(vlast), tuple(keys))
 
 
 def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
@@ -37,6 +48,14 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
     copies cost O(frames on the path * (n + m)) ints.  A leaf scans
     ``min(vlast)`` only if its peak beats the best or a vertex was last
     seen before round ``horizon - best``: only such leaves raise the best.
+
+    A branch frame whose subtree held at least ``MEMO_MIN_NODES`` nodes
+    stores that node count under its exact state, ``(pos, t, peak)`` and
+    then ``vlast`` and the key list, when it is popped.  A branch node
+    whose state is stored adds the count, cut at the budget, instead of
+    walking the subtree again.  The subtree's leaves are the ones already
+    walked, and the best only rises, so none of them can raise it: node
+    order, node counts, the budget check and the result stay as walked.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -64,10 +83,14 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
     # round 0): while there are none, no trailing gap can raise best_peak
     cutoff, stale = horizon + 1, g.n
     # One frame per branch point on the path, a node whose tied set does
-    # not have exactly one entry: [tied set, index of the next child, node
-    # time, node peak, node stale, copy of vlast, copy of keys or None].
-    # The choice taken at a frame is its next index minus one.
+    # not have exactly one entry: [tied set, index of the next child,
+    # (node vertex, time, peak), node stale, copy of vlast, copy of keys or
+    # None, node number].  The choice taken at a frame is its next index
+    # minus one.
     stack: list[list] = []
+    # explored[(vertex, time, peak)][_state(...)]: the node count of a
+    # branch node's subtree, walked to its end
+    explored: dict[tuple, dict] = {}
     pos, t, peak = start, 1, 0
     while True:
         # visit the node (pos, t, peak)
@@ -84,7 +107,7 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
                 # the leaf backtracks, so only the frames need a recount
                 cutoff = horizon - best_peak
                 for f in stack:
-                    f[4] = sum(max(v, 0) < cutoff for v in f[5])
+                    f[3] = sum(max(v, 0) < cutoff for v in f[4])
             tied = ()
         else:
             tied = tied_entries(adj[pos], keys, slot)
@@ -92,8 +115,19 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
             entry = tied[0]
         else:
             if tied:
-                stack.append([tied, 0, t, peak, stale, vlast[:],
-                              keys[:] if own_keys else None])
+                at = (pos, t, peak)
+                seen = explored.get(at)
+                size = seen and seen.get(
+                    _state(vlast, keys if own_keys else None))
+                if size:  # count the subtree's other nodes unwalked
+                    nodes += size - 1
+                    if nodes > node_budget:
+                        nodes = node_budget + 1
+                        complete = False
+                        break
+                else:
+                    stack.append([tied, 0, at, stale, vlast[:],
+                                  keys[:] if own_keys else None, nodes])
             # backtrack to the deepest frame with a child left
             while stack:
                 frame = stack[-1]
@@ -101,10 +135,14 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
                 if idx < len(tied):
                     break
                 stack.pop()
+                size = nodes - frame[6] + 1
+                if size >= MEMO_MIN_NODES:
+                    explored.setdefault(frame[2], {})[
+                        _state(frame[4], frame[5])] = size
             else:
                 break
             if idx:  # the first child starts from the frame's own state
-                _, _, t, peak, stale, saved, saved_keys = frame
+                _, _, (_, t, peak), stale, saved, saved_keys, _ = frame
                 vlast[:] = saved
                 if own_keys:
                     keys[:] = saved_keys

@@ -169,6 +169,26 @@ def test_search_over_budget_exits_0_incomplete(tmp_path, capsys):
     assert not out.startswith("peak=-1 ") and witness.read_text() != "\n"
 
 
+@pytest.mark.parametrize("out,message", [
+    ("missing/w.txt", "No such file or directory"),
+    ("sub", "Is a directory"),
+], ids=["missing-dir", "onto-dir"])
+def test_search_checks_out_before_searching(tmp_path, monkeypatch, capsys,
+                                            out, message):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before checking --out")
+
+    monkeypatch.setattr(cli, "exhaustive_tiebreak_search", no_search)
+    (tmp_path / "sub").mkdir()
+    path = str(tmp_path / out)
+    assert main(["search", "four-cycle-chain", "k=5", "--policy", "lfv-v",
+                 "--horizon", "200", "--budget", "1000000",
+                 "--out", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: search: ") and err.count("\n") == 1
+    assert message in err and f"'{path}'" in err and ".tmp" not in err
+
+
 def test_search_reaching_no_leaf_writes_no_witness(tmp_path, capsys):
     # the budget runs out on the first descent, before any leaf: there is
     # no peak and no schedule, and a file already at --out is left as it is

@@ -212,11 +212,17 @@ SEARCH_PINS = _search_pins()
 def test_search_matches_pins(name, policy):
     g = PIN_GRAPHS[name]()
     pol = PolicyKind.parse(policy)
-    for start, horizon, budget, expected in SEARCH_PINS[name, policy]:
-        res = exhaustive_tiebreak_search(g, pol, start, horizon,
-                                         node_budget=budget)
-        assert (res.peak, res.witness, res.complete,
-                res.nodes_explored) == expected, (start, horizon, budget)
+    # as the search runs, then storing every branch subtree, so that each
+    # repeated state replays its stored count, cut at the budget
+    for memo in (oracle.MEMO_MIN_NODES, 1):
+        with mock.patch.object(oracle, "MEMO_MIN_NODES", memo):
+            for start, horizon, budget, expected in SEARCH_PINS[name,
+                                                                policy]:
+                res = exhaustive_tiebreak_search(g, pol, start, horizon,
+                                                 node_budget=budget)
+                assert (res.peak, res.witness, res.complete,
+                        res.nodes_explored) == expected, (memo, start,
+                                                          horizon, budget)
 
 
 def test_search_rejects_negative_horizon_and_budget():
@@ -306,21 +312,46 @@ def test_search_matches_naive_recursion(g, policy, data, horizon, budget):
     # budgets run from inside forced chains and past a best peak's rises to
     # beyond the whole tree
     start = data.draw(st.integers(0, g.n - 1))
-    scans = []
-
-    def counted_min(values):
-        scans.append(None)
-        return min(values)
-
-    with mock.patch.object(oracle, "min", counted_min, create=True):
-        res = exhaustive_tiebreak_search(g, policy, start, horizon,
-                                         node_budget=budget)
     expected, rises = naive_search(g, policy, start, horizon, budget)
-    assert (res.peak, res.witness, res.complete,
-            res.nodes_explored) == expected
-    # a leaf scans min(vlast) only where its peak or trailing gap beats the
-    # best, which is exactly where the best rises
-    assert len(scans) == rises
+    # with the table off (no subtree holds more nodes than the budget), then
+    # storing every branch subtree
+    for memo in (budget + 1, 1):
+        scans = []
+
+        def counted_min(values):
+            scans.append(None)
+            return min(values)
+
+        with mock.patch.object(oracle, "min", counted_min, create=True), \
+                mock.patch.object(oracle, "MEMO_MIN_NODES", memo):
+            res = exhaustive_tiebreak_search(g, policy, start, horizon,
+                                             node_budget=budget)
+        assert (res.peak, res.witness, res.complete,
+                res.nodes_explored) == expected, memo
+        # a leaf scans min(vlast) only where its peak or trailing gap beats
+        # the best, which is exactly where the best rises; a replayed
+        # subtree's leaves were walked before, so none of them rises
+        assert len(scans) == rises, memo
+
+
+def test_search_replays_repeated_subtrees():
+    # the budget-capped lfv-v search of the benchmark: most of its million
+    # nodes lie in subtrees whose exact state it has walked before, and the
+    # walk without the table calls the kernel at 768,736 of them
+    calls = [0]
+    kernel = oracle.tied_entries
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    with mock.patch.object(oracle, "tied_entries", counted):
+        res = exhaustive_tiebreak_search(four_cycle_chain(5),
+                                         PolicyKind.LFV_V, 0, 200,
+                                         node_budget=1_000_000)
+    assert (res.peak, res.complete, res.nodes_explored) == (95, False,
+                                                             1_000_001)
+    assert calls[0] < res.nodes_explored // 4
 
 
 def test_search_snapshot_memory_is_bounded():
