@@ -40,10 +40,23 @@ def _check_outputs(command: str, paths: dict,
     """Resolve ``paths``, ``{name: path}``, through symlinks and ``..``, and
     return ``{name: resolved path}``.
 
-    Two outputs on one file, a path naming a directory and, when no
-    ``out_dir`` will be made, a parent that is not a directory are usage
-    errors naming the given path, so a command can check its outputs
-    before it does any work."""
+    An ``out_dir`` that is or lies under a file, two outputs on one file,
+    a path naming a directory and a parent that is not a directory and
+    is not made with ``out_dir`` are usage errors naming the given path,
+    so a command can check its outputs before it does any work."""
+
+    def fail(code: int, path) -> CliError:
+        return CliError(
+            f"{command}: {OSError(code, os.strerror(code), str(path))}")
+
+    dirs = ()  # out_dir and its parents, resolved: each is or will be made
+    if out_dir is not None:
+        dirs = (Path(os.path.realpath(out_dir)),)
+        dirs += tuple(dirs[0].parents)
+        first = next(d for d in dirs if d.exists())
+        if not first.is_dir():
+            raise fail(errno.EEXIST if first == dirs[0] else errno.ENOTDIR,
+                       out_dir)
     named, resolved = {}, {}
     for name, path in paths.items():
         real = Path(os.path.realpath(path))
@@ -51,14 +64,11 @@ def _check_outputs(command: str, paths: dict,
         if other != name:
             raise CliError(f"{command}: outputs {other} and {name} are "
                            f"both written to {path}")
-        code = None
         if real.is_dir():
-            code = errno.EISDIR
-        elif out_dir is None and not real.parent.is_dir():
-            code = errno.ENOTDIR if real.parent.exists() else errno.ENOENT
-        if code is not None:
-            raise CliError(
-                f"{command}: {OSError(code, os.strerror(code), str(path))}")
+            raise fail(errno.EISDIR, path)
+        if not real.parent.is_dir() and real.parent not in dirs:
+            raise fail(errno.ENOTDIR if real.parent.exists()
+                       else errno.ENOENT, path)
         resolved[name] = real
     return resolved
 
@@ -297,6 +307,12 @@ def cmd_simulate(args) -> int:
     seed = seed if args.seed is None else args.seed  # summary.json's "seed"
     if args.seed is not None and config.tiebreak.kind == "seeded_random":
         overrides["tiebreak"] = TieBreakSpec.seeded_random(seed)
+    out_dir = Path(args.out_dir)
+    paths = {name: out_dir / outputs.get(name, default)
+             for name, default in (("events", "events.csv"),
+                                   ("metrics", "metrics.csv"),
+                                   ("summary", "summary.json"))}
+    _check_outputs("simulate", paths, out_dir)
     try:
         if args.policy:  # --policy '' keeps the scenario's policy
             overrides["policy"] = PolicyKind.parse(args.policy)
@@ -307,13 +323,10 @@ def cmd_simulate(args) -> int:
     peak = max(series.vertex_peak, default=0)
     ct = series.coverage_time
 
-    out_dir = Path(args.out_dir)
     _write("simulate", {
-        "events": (out_dir / outputs.get("events", "events.csv"),
-                   trace.write_events_csv),
-        "metrics": (out_dir / outputs.get("metrics", "metrics.csv"),
-                    lambda f: f.write(metrics_csv(series))),
-        "summary": (out_dir / outputs.get("summary", "summary.json"),
+        "events": (paths["events"], trace.write_events_csv),
+        "metrics": (paths["metrics"], lambda f: f.write(metrics_csv(series))),
+        "summary": (paths["summary"],
                     trace.summary_json(seed=seed, peak_refresh=peak,
                                        coverage_time=ct))},
         out_dir)
@@ -393,6 +406,9 @@ def cmd_sweep(args) -> int:
                 for seed in seeds:
                     jobs.append((spec, policy, robots, seed, args.horizon))
 
+    out_dir = Path(args.out_dir)
+    paths = {name: out_dir / name for name in ("sweep.csv", "fits.txt")}
+    _check_outputs("sweep", paths, out_dir)
     # a robot count below 1, a negative horizon or an isolated start vertex
     # is an input error
     try:
@@ -420,10 +436,9 @@ def cmd_sweep(args) -> int:
                 fit_lines.append(f"{policy} robots={robots}: {stat}="
                                  f"{fit_growth(series, args.fit):.3f}")
     fits = "".join(f"{line}\n" for line in fit_lines)
-    out_dir = Path(args.out_dir)
     _write("sweep", {
-        "sweep.csv": (out_dir / "sweep.csv", "\n".join(lines) + "\n"),
-        "fits.txt": (out_dir / "fits.txt", fits)}, out_dir)
+        "sweep.csv": (paths["sweep.csv"], "\n".join(lines) + "\n"),
+        "fits.txt": (paths["fits.txt"], fits)}, out_dir)
     print(f"wrote {out_dir / 'sweep.csv'} ({len(rows)} runs)")
     print(fits, end="")
     return 0

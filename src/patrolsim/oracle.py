@@ -11,8 +11,7 @@ from .graph import Graph
 from .policies import PolicyKind, decision_keys, tied_entries
 
 
-# A smaller subtree costs less to walk again than to store: a stored
-# state keeps vlast and the key list as tuples.
+# A smaller subtree costs less to walk again than to store.
 MEMO_MIN_NODES = 1024
 
 
@@ -24,10 +23,18 @@ class WorstCaseResult:
     nodes_explored: int
 
 
-def _state(vlast: list[int], keys: list[int] | None) -> tuple:
-    """The part of a search node's state kept in lists: ``keys`` is None
-    where the policy's keys are ``vlast`` or constant."""
-    return tuple(vlast) if keys is None else (tuple(vlast), tuple(keys))
+def _decision_class(keys: list[int] | None, bump: bool) -> tuple:
+    """What a search subtree's shape depends on besides ``(pos, t)``: the
+    comparisons among the policy's keys.  An LRV move stamps a round newer
+    than every key, so the keys' dense ranks; an LFV move adds 1, so each
+    key minus the first; RANDOM's keys (None) are constant."""
+    if keys is None:
+        return ()
+    if bump:
+        first = keys[0]
+        return tuple([k - first for k in keys])
+    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return tuple(map(rank.__getitem__, keys))
 
 
 def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
@@ -49,13 +56,20 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
     ``min(vlast)`` only if its peak beats the best or a vertex was last
     seen before round ``horizon - best``: only such leaves raise the best.
 
-    A branch frame whose subtree held at least ``MEMO_MIN_NODES`` nodes
-    stores that node count under its exact state, ``(pos, t, peak)`` and
-    then ``vlast`` and the key list, when it is popped.  A branch node
-    whose state is stored adds the count, cut at the budget, instead of
-    walking the subtree again.  The subtree's leaves are the ones already
-    walked, and the best only rises, so none of them can raise it: node
-    order, node counts, the budget check and the result stay as walked.
+    A node is dead when no vertex was last seen before that round and its
+    peak is at most the best: no gap below it can exceed the best, so no
+    leaf below it raises the best or changes the witness.  A subtree's
+    shape, and so its node count, depends only on ``(pos, t)`` and the
+    node's ``_decision_class``.  A branch frame whose subtree held at least
+    ``MEMO_MIN_NODES`` nodes stores that count under both when it is
+    popped, and a dead branch node of a stored class adds the count, cut
+    at the budget, instead of walking the subtree.  Under LRV, once no
+    vertex is stale and no key is -1, the keys are distinct and the rest
+    of the path is forced: its nodes are counted at once, cut at the
+    budget, and the walk goes on at the leaf.  No gap of such a tail
+    exceeds the best, so the leaf raises the best only to its peak so
+    far.  Node order, node counts, the budget check and the result stay
+    those of the full walk.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -75,6 +89,7 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
     # keys are vlast and RANDOM's constant
     bump = policy in (PolicyKind.LFV_V, PolicyKind.LFV_E)
     own_keys = bump or policy is PolicyKind.LRV_E
+    stamp = policy in (PolicyKind.LRV_V, PolicyKind.LRV_E)
 
     best_peak, best_witness = -1, ()
     nodes = 0
@@ -84,11 +99,11 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
     cutoff, stale = horizon + 1, g.n
     # One frame per branch point on the path, a node whose tied set does
     # not have exactly one entry: [tied set, index of the next child,
-    # (node vertex, time, peak), node stale, copy of vlast, copy of keys or
+    # (node vertex, time), peak, node stale, copy of vlast, copy of keys or
     # None, node number].  The choice taken at a frame is its next index
     # minus one.
     stack: list[list] = []
-    # explored[(vertex, time, peak)][_state(...)]: the node count of a
+    # explored[(vertex, time)][_decision_class(...)]: the node count of a
     # branch node's subtree, walked to its end
     explored: dict[tuple, dict] = {}
     pos, t, peak = start, 1, 0
@@ -107,7 +122,7 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
                 # the leaf backtracks, so only the frames need a recount
                 cutoff = horizon - best_peak
                 for f in stack:
-                    f[3] = sum(max(v, 0) < cutoff for v in f[4])
+                    f[4] = sum(max(v, 0) < cutoff for v in f[5])
             tied = ()
         else:
             tied = tied_entries(adj[pos], keys, slot)
@@ -115,18 +130,18 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
             entry = tied[0]
         else:
             if tied:
-                at = (pos, t, peak)
-                seen = explored.get(at)
-                size = seen and seen.get(
-                    _state(vlast, keys if own_keys else None))
-                if size:  # count the subtree's other nodes unwalked
+                at = (pos, t)
+                seen = not stale and peak <= best_peak and explored.get(at)
+                size = seen and seen.get(_decision_class(
+                    keys if own_keys else vlast if stamp else None, bump))
+                if size:  # a dead subtree: count its other nodes unwalked
                     nodes += size - 1
                     if nodes > node_budget:
                         nodes = node_budget + 1
                         complete = False
                         break
                 else:
-                    stack.append([tied, 0, at, stale, vlast[:],
+                    stack.append([tied, 0, at, peak, stale, vlast[:],
                                   keys[:] if own_keys else None, nodes])
             # backtrack to the deepest frame with a child left
             while stack:
@@ -135,14 +150,15 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
                 if idx < len(tied):
                     break
                 stack.pop()
-                size = nodes - frame[6] + 1
+                size = nodes - frame[7] + 1
                 if size >= MEMO_MIN_NODES:
-                    explored.setdefault(frame[2], {})[
-                        _state(frame[4], frame[5])] = size
+                    explored.setdefault(frame[2], {})[_decision_class(
+                        frame[6] if own_keys else frame[5] if stamp
+                        else None, bump)] = size
             else:
                 break
             if idx:  # the first child starts from the frame's own state
-                _, _, (_, t, peak), stale, saved, saved_keys, _ = frame
+                _, _, (_, t), peak, stale, saved, saved_keys, _ = frame
                 vlast[:] = saved
                 if own_keys:
                     keys[:] = saved_keys
@@ -153,8 +169,6 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
         old = vlast[pos]
         if old < 0:
             old = 0
-        if old < cutoff <= t:
-            stale -= 1
         vlast[pos] = t
         if t - old > peak:
             peak = t - old
@@ -163,6 +177,15 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
                 keys[entry[slot]] += 1
             else:
                 keys[entry[1]] = t
+        if old < cutoff <= t:
+            stale -= 1
+            if not stale and stamp and -1 not in keys:
+                # distinct LRV keys never tie again: count the forced
+                # nodes up to the leaf, cut at the budget, and go there
+                nodes += horizon - t
+                if nodes > node_budget:
+                    nodes = node_budget
+                t = horizon
         t += 1
     return WorstCaseResult(peak=best_peak, witness=best_witness,
                            complete=complete, nodes_explored=nodes)

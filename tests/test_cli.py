@@ -53,6 +53,10 @@ def test_generate_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def no_work(*args, **kwargs):
+    raise AssertionError("ran before checking the outputs")
+
+
 @pytest.mark.parametrize("argv,message", [
     (["generate", "cycle", "n=2", "--out", "{tmp}/c.graph"],
      "cycle requires n >= 3"),
@@ -67,9 +71,14 @@ def test_generate_errors(tmp_path, capsys):
      "File exists"),
     (["simulate", "--scenario", "{tmp}/s.json",
       "--out-dir", "{tmp}/file/sub"], "Not a directory"),
+    (["simulate", "--scenario", "{tmp}/nodir.json", "--out-dir", "{tmp}/run"],
+     "No such file or directory: '{tmp}/run/nodir/metrics.csv'"),
     (["sweep", "--family", "path", "--sweep", "n=4..5", "--policies",
       "lrv-v", "--horizon", "10", "--out-dir", "{tmp}/file"],
      "File exists"),
+    (["sweep", "--family", "path", "--sweep", "n=4..5", "--policies",
+      "lrv-v", "--horizon", "10", "--out-dir", "{tmp}/file/sub"],
+     "Not a directory"),
     (["search", "torus", "n=3", "--policy", "lrv-v", "--horizon", "10",
       "--out", "{tmp}/w.txt"], "unknown family 'torus'"),
     (["search", "four-cycle-chain", "k", "--policy", "lrv-v",
@@ -90,19 +99,27 @@ def test_generate_errors(tmp_path, capsys):
 ], ids=["generate-cycle-n2", "generate-flower-delta1",
         "generate-missing-dir", "generate-grid-missing-dir",
         "generate-onto-dir", "simulate-out-dir-file",
-        "simulate-out-dir-under-file", "sweep-out-dir-file",
+        "simulate-out-dir-under-file", "simulate-output-in-missing-dir",
+        "sweep-out-dir-file", "sweep-out-dir-under-file",
         "search-unknown-family", "search-param-without-value",
         "search-missing-dir", "search-unknown-policy",
         "search-start-out-of-range", "search-negative-horizon",
         "search-negative-budget"])
-def test_bad_family_params_and_output_paths_exit_2(tmp_path, capsys, argv,
-                                                   message):
+def test_bad_family_params_and_output_paths_exit_2(tmp_path, monkeypatch,
+                                                   capsys, argv, message):
+    # an output that cannot be written is found before any run
+    monkeypatch.setattr(cli, "run", no_work)
+    monkeypatch.setattr(cli, "_map", no_work)
     write_scenario(tmp_path / "s.json")
+    write_scenario(tmp_path / "nodir.json",
+                   outputs={"metrics": "nodir/metrics.csv"})
     (tmp_path / "file").write_text("")
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
-    assert err.count("\n") == 1 and not (tmp_path / "w.txt").exists()
+    assert err.startswith("error: ") and message.format(tmp=tmp_path) in err
+    assert err.count("\n") == 1 and ".tmp" not in err
+    assert not (tmp_path / "w.txt").exists()
+    assert not (tmp_path / "run").exists()
 
 
 # each family with parameters, and every name it may be given by
@@ -757,9 +774,12 @@ def test_sweep_empty_range_exits_2(tmp_path, capsys, flag, value):
     ("sweep", {}, ("fits.txt", "sweep.csv")),
 ], ids=["same-name", "onto-default", "same-after-dotdot", "through-symlink",
         "generate-triangulation-onto-graph", "sweep-fits-onto-rows"])
-def test_simulate_outputs_on_one_file_exit_2(tmp_path, capsys, command,
-                                             outputs, link):
-    # link: (name, target) of a symlink made in the output directory
+def test_simulate_outputs_on_one_file_exit_2(tmp_path, monkeypatch, capsys,
+                                             command, outputs, link):
+    # link: (name, target) of a symlink made in the output directory; the
+    # outputs are checked before any run
+    monkeypatch.setattr(cli, "run", no_work)
+    monkeypatch.setattr(cli, "_map", no_work)
     scenario = write_scenario(tmp_path / "s.json", outputs=outputs)
     out_dir = tmp_path / "o"
     if link is not None:

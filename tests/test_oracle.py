@@ -334,24 +334,63 @@ def test_search_matches_naive_recursion(g, policy, data, horizon, budget):
         assert len(scans) == rises, memo
 
 
-def test_search_replays_repeated_subtrees():
-    # the budget-capped lfv-v search of the benchmark: most of its million
-    # nodes lie in subtrees whose exact state it has walked before, and the
-    # walk without the table calls the kernel at 768,736 of them
+def counted_search(*args, **kwargs):
+    """``(exhaustive_tiebreak_search(...), calls of tied_entries)``."""
     calls = [0]
     kernel = oracle.tied_entries
 
-    def counted(*args):
+    def counted(*entries):
         calls[0] += 1
-        return kernel(*args)
+        return kernel(*entries)
 
     with mock.patch.object(oracle, "tied_entries", counted):
-        res = exhaustive_tiebreak_search(four_cycle_chain(5),
-                                         PolicyKind.LFV_V, 0, 200,
-                                         node_budget=1_000_000)
+        res = exhaustive_tiebreak_search(*args, **kwargs)
+    return res, calls[0]
+
+
+def test_search_replays_repeated_subtrees():
+    # the budget-capped lfv-v search of the benchmark: most of its million
+    # nodes lie in dead subtrees of a decision class it has walked before;
+    # the walk without the table calls the kernel at 768,736 of them, and
+    # a table of exact states at 182,027
+    res, calls = counted_search(four_cycle_chain(5), PolicyKind.LFV_V, 0,
+                                200, node_budget=1_000_000)
     assert (res.peak, res.complete, res.nodes_explored) == (95, False,
                                                              1_000_001)
-    assert calls[0] < res.nodes_explored // 4
+    assert calls < res.nodes_explored // 20
+
+
+def test_search_counts_forced_lrv_tails_unwalked():
+    # the benchmark's lrv-e search: few of its subtrees repeat, but most
+    # paths end in a forced tail once no vertex is stale and every edge has
+    # been traversed; the walk calls the kernel at 455,429 nodes
+    res, calls = counted_search(generators.diamond_gadget_chain(3),
+                                PolicyKind.LRV_E, 0, 160,
+                                node_budget=3_000_000)
+    assert (res.peak, res.complete, res.nodes_explored) == (55, True,
+                                                             458_629)
+    assert calls < 400_000
+
+
+@pytest.mark.parametrize("edges,policy,start,horizon", [
+    # LFV keys that rank alike but differ by more than a bump: a class of
+    # dense ranks replays a subtree of another shape
+    ([(0, 1), (0, 5), (1, 2), (1, 4), (1, 6), (2, 3), (2, 5), (2, 7),
+      (5, 7)], PolicyKind.LFV_V, 3, 29),
+    # every vertex seen since the cutoff while an edge is still untraversed:
+    # its -1 keys still tie, so the rest of the path is not forced
+    ([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
+      (2, 4), (3, 6), (4, 5), (4, 7), (6, 7)], PolicyKind.LRV_E, 7, 32),
+], ids=["lfv-class-not-ranks", "lrv-tail-needs-every-key"])
+def test_search_skips_only_exact_subtrees(edges, policy, start, horizon):
+    g = Graph(8, edges)
+    expected, _ = naive_search(g, policy, start, horizon, 100_000)
+    for memo in (oracle.MEMO_MIN_NODES, 1):
+        with mock.patch.object(oracle, "MEMO_MIN_NODES", memo):
+            res = exhaustive_tiebreak_search(g, policy, start, horizon,
+                                             node_budget=100_000)
+        assert (res.peak, res.witness, res.complete,
+                res.nodes_explored) == expected, memo
 
 
 def test_search_snapshot_memory_is_bounded():
