@@ -51,12 +51,15 @@ def _check_outputs(command: str, paths: dict,
 
     dirs = ()  # out_dir and its parents, resolved: each is or will be made
     if out_dir is not None:
+        # where mkdir(parents=True) would stop: the deepest path that
+        # exists, a dangling symlink too, must be a directory
+        first = next(d for d in (out_dir, *out_dir.parents)
+                     if os.path.lexists(d))
+        if not first.is_dir():
+            raise fail(errno.EEXIST if first == out_dir else errno.ENOTDIR,
+                       out_dir)
         dirs = (Path(os.path.realpath(out_dir)),)
         dirs += tuple(dirs[0].parents)
-        first = next(d for d in dirs if d.exists())
-        if not first.is_dir():
-            raise fail(errno.EEXIST if first == dirs[0] else errno.ENOTDIR,
-                       out_dir)
     named, resolved = {}, {}
     for name, path in paths.items():
         real = Path(os.path.realpath(path))

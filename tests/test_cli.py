@@ -71,6 +71,8 @@ def no_work(*args, **kwargs):
      "File exists"),
     (["simulate", "--scenario", "{tmp}/s.json",
       "--out-dir", "{tmp}/file/sub"], "Not a directory"),
+    (["simulate", "--scenario", "{tmp}/s.json",
+      "--out-dir", "{tmp}/dangling"], "File exists"),
     (["simulate", "--scenario", "{tmp}/nodir.json", "--out-dir", "{tmp}/run"],
      "No such file or directory: '{tmp}/run/nodir/metrics.csv'"),
     (["sweep", "--family", "path", "--sweep", "n=4..5", "--policies",
@@ -99,7 +101,8 @@ def no_work(*args, **kwargs):
 ], ids=["generate-cycle-n2", "generate-flower-delta1",
         "generate-missing-dir", "generate-grid-missing-dir",
         "generate-onto-dir", "simulate-out-dir-file",
-        "simulate-out-dir-under-file", "simulate-output-in-missing-dir",
+        "simulate-out-dir-under-file", "simulate-out-dir-dangling-link",
+        "simulate-output-in-missing-dir",
         "sweep-out-dir-file", "sweep-out-dir-under-file",
         "search-unknown-family", "search-param-without-value",
         "search-missing-dir", "search-unknown-policy",
@@ -114,6 +117,7 @@ def test_bad_family_params_and_output_paths_exit_2(tmp_path, monkeypatch,
     write_scenario(tmp_path / "nodir.json",
                    outputs={"metrics": "nodir/metrics.csv"})
     (tmp_path / "file").write_text("")
+    (tmp_path / "dangling").symlink_to("nowhere/target")
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message.format(tmp=tmp_path) in err
