@@ -41,9 +41,10 @@ def _check_outputs(command: str, paths: dict,
     return ``{name: resolved path}``.
 
     An ``out_dir`` that is or lies under a file, two outputs on one file,
-    a path naming a directory and a parent that is not a directory and
-    is not made with ``out_dir`` are usage errors naming the given path,
-    so a command can check its outputs before it does any work."""
+    a path naming a directory, ``out_dir`` or one of its parents, and a
+    parent that is not a directory and is not made with ``out_dir`` are
+    usage errors naming the given path, so a command can check its
+    outputs before it does any work."""
 
     def fail(code: int, path) -> CliError:
         return CliError(
@@ -67,7 +68,7 @@ def _check_outputs(command: str, paths: dict,
         if other != name:
             raise CliError(f"{command}: outputs {other} and {name} are "
                            f"both written to {path}")
-        if real.is_dir():
+        if real.is_dir() or real in dirs:
             raise fail(errno.EISDIR, path)
         if not real.parent.is_dir() and real.parent not in dirs:
             raise fail(errno.ENOTDIR if real.parent.exists()

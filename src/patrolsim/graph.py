@@ -228,11 +228,6 @@ def parse_graph(text: str) -> Graph:
     return Graph(n, edges, meta)
 
 
-def save_graph(g: Graph, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_graph(g))
-
-
 def load_graph(path) -> Graph:
     with open(path) as fh:
         return parse_graph(fh.read())

@@ -16,8 +16,7 @@ from .triangulation import Triangulation
 
 @dataclass(frozen=True)
 class OwnerMap:
-    triangle_owner: tuple[int, ...]              # per-triangle primal vertex
-    dual_edge_owners: tuple[tuple[int, int], ...]  # per dual edge id
+    triangle_owner: tuple[int, ...]  # per triangle, and its dual edges
 
 
 @dataclass(frozen=True)
@@ -94,11 +93,7 @@ def assign_owners(t: Triangulation) -> OwnerMap | OwnershipInfeasible:
             stack.append([candidates(ti + 1), 0])
 
     if found:
-        triangle_owner = tuple(owner)
-        dual_edge_owners = tuple((owner[ti], owner[tj])
-                                 for ti, tj in dual.edges)
-        return OwnerMap(triangle_owner=triangle_owner,
-                        dual_edge_owners=dual_edge_owners)
+        return OwnerMap(triangle_owner=tuple(owner))
     return OwnershipInfeasible("node budget exhausted" if nodes > budget
                                else "no feasible assignment exists")
 
@@ -116,32 +111,23 @@ def verify_theorem1(t: Triangulation, o: OwnerMap) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class DualEdgeOwnershipReport:
-    violations: tuple[tuple[int, int], ...]   # dual edges with bad owners
-    max_dual_edges_owned: int                 # over primal vertices
-    bound: int                                # the constant checked against
+    violations: tuple[int, ...]   # primal vertices owning over the bound
+    max_dual_edges_owned: int     # over primal vertices
+    bound: int                    # the constant checked against
 
 
 def verify_theorem2(t: Triangulation, o: OwnerMap) -> DualEdgeOwnershipReport:
-    """Restates the connectivity check per dual edge via dual_edge_owners
-    and checks bounded ownership: no primal vertex owns more than 18 dual
-    edges (each triangle has <= 3 dual edges and a primal vertex is a
-    corner of at most deg-many triangles, so a small constant suffices)."""
+    """Bounded ownership: a dual edge is owned by the owners of its two
+    triangles, and no primal vertex may own more than 18 dual edges (each
+    triangle has <= 3 dual edges and a primal vertex is a corner of at
+    most deg-many triangles, so a small constant suffices)."""
     bound = 18
-    violations = []
     owned = [0] * len(t.points)
-    for eid, (ti, tj) in enumerate(t.dual.edges):
-        a, b = o.dual_edge_owners[eid]
-        if (a, b) != (o.triangle_owner[ti], o.triangle_owner[tj]):
-            violations.append((ti, tj))
-            continue
-        if not _owners_connected(t, a, b):
-            violations.append((ti, tj))
+    for ti, tj in t.dual.edges:
+        a, b = o.triangle_owner[ti], o.triangle_owner[tj]
         owned[a] += 1
         if b != a:
             owned[b] += 1
-    max_owned = max(owned, default=0)
-    if max_owned > bound:
-        violations.append((-1, -1))
-    return DualEdgeOwnershipReport(violations=tuple(violations),
-                                   max_dual_edges_owned=max_owned,
-                                   bound=bound)
+    return DualEdgeOwnershipReport(
+        violations=tuple(v for v, k in enumerate(owned) if k > bound),
+        max_dual_edges_owned=max(owned, default=0), bound=bound)

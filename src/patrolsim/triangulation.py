@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .graph import Graph, GraphFormatError
+from .graph import Graph
 
 
 class TriangulationError(ValueError):
@@ -75,7 +75,7 @@ class Triangulation:
         return (u, v) in self.primal_edges
 
 
-# --- text format -------------------------------------------------------
+# --- text format (written by `generate grid`; nothing reads it) --------
 #
 #   P <num points>
 #   <x> <y>          (one line per point, ids implicit 0..)
@@ -88,59 +88,3 @@ def dumps_triangulation(t: Triangulation) -> str:
     lines.append(f"T {len(t.triangles)}")
     lines.extend(f"{a} {b} {c}" for a, b, c in t.triangles)
     return "\n".join(lines) + "\n"
-
-
-def parse_triangulation(text: str) -> Triangulation:
-    lines = [ln.strip() for ln in text.splitlines()]
-    pos = 0
-
-    def expect_section(tag: str) -> int:
-        nonlocal pos
-        while pos < len(lines) and not lines[pos]:
-            pos += 1
-        if pos >= len(lines):
-            raise GraphFormatError(pos + 1, f"missing {tag} section")
-        parts = lines[pos].split()
-        if len(parts) != 2 or parts[0] != tag:
-            raise GraphFormatError(pos + 1, f"expected '{tag} <count>', got {lines[pos]!r}")
-        pos += 1
-        try:
-            return int(parts[1])
-        except ValueError:
-            raise GraphFormatError(pos, f"bad count {parts[1]!r}") from None
-
-    npts = expect_section("P")
-    points = []
-    for _ in range(npts):
-        if pos >= len(lines):
-            raise GraphFormatError(pos + 1, "truncated P section")
-        parts = lines[pos].split()
-        if len(parts) != 2:
-            raise GraphFormatError(pos + 1, f"expected 'x y', got {lines[pos]!r}")
-        try:
-            points.append((float(parts[0]), float(parts[1])))
-        except ValueError:
-            raise GraphFormatError(pos + 1, f"bad coordinates {lines[pos]!r}") from None
-        pos += 1
-    ntri = expect_section("T")
-    triangles = []
-    for _ in range(ntri):
-        if pos >= len(lines):
-            raise GraphFormatError(pos + 1, "truncated T section")
-        parts = lines[pos].split()
-        if len(parts) != 3:
-            raise GraphFormatError(pos + 1, f"expected 'a b c', got {lines[pos]!r}")
-        try:
-            triangles.append(tuple(int(p) for p in parts))
-        except ValueError:
-            raise GraphFormatError(pos + 1, f"bad triangle {lines[pos]!r}") from None
-        pos += 1
-    try:
-        return Triangulation.build(points, triangles)
-    except TriangulationError as exc:
-        raise GraphFormatError(pos, str(exc)) from exc
-
-
-def load_triangulation(path) -> Triangulation:
-    with open(path) as fh:
-        return parse_triangulation(fh.read())

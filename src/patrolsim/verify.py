@@ -18,7 +18,8 @@ from . import generators
 from .engine import SimConfig, init, run, run_series, step
 from .graph import Graph, diameter, dumps_graph, parse_graph
 from .metrics import fit_growth, refresh_series
-from .oracle import exhaustive_tiebreak_search, reference_run
+from .oracle import (WorstCaseResult, exhaustive_tiebreak_search,
+                     reference_run)
 from .ownership import (OwnerMap, assign_owners, verify_theorem1,
                         verify_theorem2)
 from .policies import PolicyKind, TieBreakSpec
@@ -146,21 +147,18 @@ def criterion_quadratic_growth() -> CheckResult:
 
 def criterion_lrv_worst_case() -> CheckResult:
     """5: adversarial tie-break search on four_cycle_chain k=2..4 under
-    LRV_V: every witness replays exactly through the engine and worst peaks
-    grow geometrically with ratio >= 1.5.  The reconstructed diamond gadget
-    chain under LRV_E is reported alongside."""
+    LRV_V: every witness replays exactly through the engine and the
+    reference, and worst peaks grow geometrically with ratio >= 1.5.  The
+    reconstructed diamond gadget chain under LRV_E is reported alongside."""
     points = []
     for k in (2, 3, 4):
         g = generators.four_cycle_chain(k)
         horizon = 40 * k
-        res = exhaustive_tiebreak_search(g, PolicyKind.LRV_V, 0, horizon)
-        replayed = max(run_series(SimConfig(
-            graph=g, policy=PolicyKind.LRV_V, starts=(0,), horizon=horizon,
-            tiebreak=TieBreakSpec.scripted(res.witness))).vertex_peak)
-        if replayed != res.peak:
+        res = _replays_witness(g, PolicyKind.LRV_V, horizon)
+        if res is None:
             return CheckResult("lrv-worst-case", False,
-                               f"k={k}: witness replay gave {replayed}, "
-                               f"search reported {res.peak}")
+                               f"k={k}: engine, reference and search "
+                               "diverge")
         default = max(run_series(SimConfig(
             graph=g, policy=PolicyKind.LRV_V, starts=(0,),
             horizon=horizon)).vertex_peak)
@@ -275,9 +273,10 @@ def criterion_flower_ratio() -> CheckResult:
 
 
 def criterion_ownership() -> CheckResult:
-    """8: owner assignment on grids up to 10x10 satisfies both connectivity
-    checks with zero violations, and the max dual-edge ownership count is a
-    constant independent of grid size."""
+    """8: owner assignment on grids up to 10x10 has connected owners on
+    every dual edge, no primal vertex owns more dual edges than the bound,
+    and the max dual-edge ownership count is a constant independent of
+    grid size."""
     max_owned = {}
     for w in range(2, 11):
         t = generators.grid_triangulation(w, w)
@@ -294,7 +293,8 @@ def criterion_ownership() -> CheckResult:
         if report.violations:
             return CheckResult("ownership", False,
                                f"grid({w},{w}): {len(report.violations)} "
-                               "dual-edge ownership violations")
+                               "primal vertices own more than "
+                               f"{report.bound} dual edges")
         max_owned[w] = report.max_dual_edges_owned
     plateau = {max_owned[w] for w in range(4, 11)}
     if len(plateau) != 1:
@@ -375,15 +375,19 @@ def _diverges(tr, ref) -> bool:
             or tr.edge_traversal_counts != ref.edge_traversal_counts)
 
 
-def _replays_witness(g: Graph, policy: PolicyKind, horizon: int) -> bool:
-    """Whether the search's witness, replayed as a SCRIPTED tie-break,
-    gives the engine and the reference one run, with the searched peak."""
+def _replays_witness(g: Graph, policy: PolicyKind,
+                     horizon: int) -> WorstCaseResult | None:
+    """The search of one robot from vertex 0, or None unless its witness,
+    replayed as a SCRIPTED tie-break, gives the engine and the reference
+    one run, with the searched peak."""
     res = exhaustive_tiebreak_search(g, policy, 0, horizon)
     cfg = SimConfig(graph=g, policy=policy, starts=(0,), horizon=horizon,
                     tiebreak=TieBreakSpec.scripted(res.witness))
     tr = run(cfg)
-    return (not _diverges(tr, reference_run(cfg))
-            and max(refresh_series(tr).vertex_peak) == res.peak)
+    if (_diverges(tr, reference_run(cfg))
+            or max(refresh_series(tr).vertex_peak) != res.peak):
+        return None
+    return res
 
 
 def criterion_differential() -> CheckResult:
@@ -406,7 +410,7 @@ def criterion_differential() -> CheckResult:
         except Exception as exc:  # a broken side may raise anything
             return CheckResult("differential", False,
                                f"{where}: {type(exc).__name__}: {exc}")
-        if not replayed:
+        if replayed is None:
             return CheckResult("differential", False,
                                f"{where}: engine, reference and search "
                                "diverge")

@@ -11,8 +11,9 @@ import pytest
 import patrolsim
 from patrolsim import cli
 from patrolsim.cli import main
+from patrolsim.generators import grid_triangulation
 from patrolsim.graph import dumps_graph, load_graph
-from patrolsim.triangulation import load_triangulation
+from patrolsim.triangulation import dumps_triangulation
 
 
 def write_scenario(path, **overrides):
@@ -42,7 +43,8 @@ def test_generate_grid_writes_triangulation(tmp_path):
     out = tmp_path / "grid.graph"
     assert main(["generate", "grid", "w=2", "h=2", "--out", str(out)]) == 0
     assert load_graph(out).n == 8
-    assert len(load_triangulation(str(out) + ".tri").triangles) == 8
+    assert Path(str(out) + ".tri").read_text() == dumps_triangulation(
+        grid_triangulation(2, 2))
 
 
 def test_generate_errors(tmp_path, capsys):
@@ -75,6 +77,8 @@ def no_work(*args, **kwargs):
       "--out-dir", "{tmp}/dangling"], "File exists"),
     (["simulate", "--scenario", "{tmp}/nodir.json", "--out-dir", "{tmp}/run"],
      "No such file or directory: '{tmp}/run/nodir/metrics.csv'"),
+    (["simulate", "--scenario", "{tmp}/dot.json", "--out-dir", "{tmp}/run"],
+     "Is a directory: '{tmp}/run'"),
     (["sweep", "--family", "path", "--sweep", "n=4..5", "--policies",
       "lrv-v", "--horizon", "10", "--out-dir", "{tmp}/file"],
      "File exists"),
@@ -102,7 +106,7 @@ def no_work(*args, **kwargs):
         "generate-missing-dir", "generate-grid-missing-dir",
         "generate-onto-dir", "simulate-out-dir-file",
         "simulate-out-dir-under-file", "simulate-out-dir-dangling-link",
-        "simulate-output-in-missing-dir",
+        "simulate-output-in-missing-dir", "simulate-output-is-out-dir",
         "sweep-out-dir-file", "sweep-out-dir-under-file",
         "search-unknown-family", "search-param-without-value",
         "search-missing-dir", "search-unknown-policy",
@@ -116,6 +120,7 @@ def test_bad_family_params_and_output_paths_exit_2(tmp_path, monkeypatch,
     write_scenario(tmp_path / "s.json")
     write_scenario(tmp_path / "nodir.json",
                    outputs={"metrics": "nodir/metrics.csv"})
+    write_scenario(tmp_path / "dot.json", outputs={"events": "."})
     (tmp_path / "file").write_text("")
     (tmp_path / "dangling").symlink_to("nowhere/target")
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2

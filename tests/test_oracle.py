@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -13,7 +14,8 @@ from patrolsim.generators import cycle, four_cycle_chain, path_dual
 from patrolsim.graph import Graph
 from patrolsim.metrics import vertex_peak_refresh
 from patrolsim.oracle import exhaustive_tiebreak_search, reference_run
-from patrolsim.policies import PolicyKind, TieBreakSpec
+from patrolsim.policies import (PolicyKind, TieBreakSpec, decision_keys,
+                                tied_entries)
 
 
 def test_cycle4_worst_case_is_tour():
@@ -133,6 +135,15 @@ def test_witness_replay_failure_is_a_fail_line(monkeypatch, search, detail):
         "FAIL differential: four_cycle_chain(2) lrv-v witness at horizon 80: "
         + detail)
 
+
+
+def test_lrv_worst_case_fails_on_a_diverging_witness(monkeypatch):
+    # criterion 5 replays each witness through the engine and the reference
+    monkeypatch.setattr(verify, "exhaustive_tiebreak_search",
+                        lambda *args: dataclasses.replace(
+                            exhaustive_tiebreak_search(*args), peak=0))
+    assert verify.criterion_lrv_worst_case().line() == (
+        "FAIL lrv-worst-case: k=2: engine, reference and search diverge")
 
 # (peak, witness, complete, nodes explored) of the search from the far end
 # of four_cycle_chain(3), horizon 60, 50k-node budget, as the recursive
@@ -391,6 +402,106 @@ def test_search_skips_only_exact_subtrees(edges, policy, start, horizon):
                                              node_budget=100_000)
         assert (res.peak, res.witness, res.complete,
                 res.nodes_explored) == expected, memo
+
+
+def long_search_case(case):
+    """``(graph, policy, start, horizon, budget)`` of seeded case ``case``:
+    a random spanning tree on 3-9 vertices plus up to 3n random edges,
+    horizon 16-34 and a budget of 2k or 20k nodes, long enough to fill the
+    table.  Every other case is LRV_E, whose tail is forced only once
+    every edge has been traversed; the rest take LRV_V, LFV_V and LFV_E in
+    turn."""
+    rng = random.Random(20261020 + case)
+    n = rng.randrange(3, 10)
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = {tuple(sorted((label[v], label[rng.randrange(v)])))
+             for v in range(1, n)}
+    for _ in range(rng.randrange(3 * n + 1)):
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    policy = (PolicyKind.LRV_E if case % 2 == 0 else
+              (PolicyKind.LRV_V, PolicyKind.LFV_V, PolicyKind.LFV_E)[
+                  case // 2 % 3])
+    return (Graph(n, sorted(edges)), policy, rng.randrange(n),
+            rng.randrange(16, 35), rng.choice((2_000, 20_000)))
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_long_searches_match_naive_recursion(case):
+    g, policy, start, horizon, budget = long_search_case(case)
+    expected, _ = naive_search(g, policy, start, horizon, budget)
+    for memo in (oracle.MEMO_MIN_NODES, 1):
+        with mock.patch.object(oracle, "MEMO_MIN_NODES", memo):
+            res = exhaustive_tiebreak_search(g, policy, start, horizon,
+                                             node_budget=budget)
+        assert (res.peak, res.witness, res.complete,
+                res.nodes_explored) == expected, memo
+
+
+@pytest.mark.parametrize("bump", [False, True], ids=["lrv", "lfv"])
+def test_decision_class_decides_ties_after_each_move(bump):
+    # the class lemma behind the table: key lists of one decision class
+    # give the same tied set from any entries, and the chosen move (an LRV
+    # stamp above every key, an LFV bump) keeps them in one class.  Each
+    # pair is a key list (LRV rounds with -1 for never, or LFV counts) and
+    # its image under a strictly increasing map, a shift or new gaps
+    rng = random.Random(20261021)
+    low = 0 if bump else -1
+    pairs = 0
+    for _ in range(1000):
+        keys = [rng.randint(low, 12) for _ in range(rng.randint(1, 8))]
+        values = sorted(set(keys))
+        shift = rng.random() < 0.5
+        image = [rng.randint(low, 12)]
+        for a, b in zip(values, values[1:]):
+            image.append(image[-1] + (b - a if shift else rng.randint(1, 4)))
+        to = dict(zip(values, image))
+        other = [to[k] for k in keys]
+        if (oracle._decision_class(keys, bump)
+                != oracle._decision_class(other, bump)):
+            continue
+        pairs += 1
+        for _ in range(rng.randint(1, 6)):
+            entries = [(i, i, 0) for i in rng.sample(
+                range(len(keys)), rng.randint(1, min(4, len(keys))))]
+            tied = tied_entries(entries, keys, 0)
+            assert tied_entries(entries, other, 0) == tied
+            i = rng.choice(tied)[0]
+            if bump:
+                keys[i] += 1
+                other[i] += 1
+            else:
+                keys[i] = max(keys) + rng.randint(1, 3)
+                other[i] = max(other) + rng.randint(1, 3)
+            assert (oracle._decision_class(keys, bump)
+                    == oracle._decision_class(other, bump))
+    assert pairs >= 400
+
+
+def test_distinct_lrv_keys_never_tie_again():
+    # the tail lemma behind the forced LRV tails: one robot's LRV keys
+    # with no -1 are distinct, and a stamp keeps them so, so every tied
+    # set on the rest of the path has one entry, whatever choices came
+    # before
+    rng = random.Random(20261022)
+    reached = 0
+    for case in range(200):
+        g, _, start, _, _ = long_search_case(case)
+        policy = (PolicyKind.LRV_V, PolicyKind.LRV_E)[case % 2]
+        vlast, elast = [-1] * g.n, [-1] * g.m
+        vlast[start] = 0
+        keys, slot = decision_keys(policy, g.n, vlast, [0] * g.n, elast,
+                                   [0] * g.m)
+        pos = start
+        for t in range(1, 81):
+            tied = tied_entries(g.adj[pos], keys, slot)
+            if -1 not in keys:
+                assert len(set(keys)) == len(keys) and len(tied) == 1
+            pos, eid, _ = rng.choice(tied)
+            vlast[pos] = elast[eid] = t
+        reached += -1 not in keys
+    assert reached >= 100
 
 
 def test_search_snapshot_memory_is_bounded():

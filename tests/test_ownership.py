@@ -1,6 +1,9 @@
+import math
+
 from patrolsim.generators import grid_triangulation
 from patrolsim.ownership import (OwnerMap, assign_owners, verify_theorem1,
                                  verify_theorem2)
+from patrolsim.triangulation import Triangulation
 
 
 def test_single_square_owners():
@@ -10,7 +13,6 @@ def test_single_square_owners():
     # lower triangle owned by corner 0, upper by the diagonally opposite 3;
     # the two owners sit on the shared diagonal and are primal-adjacent
     assert result.triangle_owner == (0, 3)
-    assert result.dual_edge_owners == ((0, 3),)
     assert verify_theorem1(t, result) == []
 
 
@@ -54,10 +56,16 @@ def test_assign_owners_without_recursion_limit():
 
 
 def test_theorem2_flags_corrupted_map():
-    t = grid_triangulation(2, 2)
-    good = assign_owners(t)
-    assert isinstance(good, OwnerMap)
-    bad = OwnerMap(triangle_owner=good.triangle_owner,
-                   dual_edge_owners=((99, 99),) + good.dual_edge_owners[1:])
-    report = verify_theorem2(t, bad)
-    assert t.dual.edges[0] in report.violations
+    # a wheel of 20 triangles around hub 0, all given to the hub: the
+    # owners are connected (equal), but the hub owns all 20 dual edges
+    spokes = 20
+    points = [(0.0, 0.0)] + [(math.cos(2 * math.pi * i / spokes),
+                               math.sin(2 * math.pi * i / spokes))
+                              for i in range(spokes)]
+    t = Triangulation.build(points, [(0, 1 + i, 1 + (i + 1) % spokes)
+                                     for i in range(spokes)])
+    hub = OwnerMap(triangle_owner=(0,) * spokes)
+    assert verify_theorem1(t, hub) == []
+    report = verify_theorem2(t, hub)
+    assert report.max_dual_edges_owned == spokes > report.bound
+    assert report.violations == (0,)

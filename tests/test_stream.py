@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from patrolsim import cli, engine
 from patrolsim.engine import SimConfig, run, run_series
-from patrolsim.graph import save_graph
+from patrolsim.graph import dumps_graph
 from patrolsim.metrics import RefreshMeter, metrics_csv, refresh_series
 from patrolsim.generators import cycle
 from patrolsim.policies import PolicyKind, ScriptUnusedError, TieBreakSpec
@@ -103,7 +103,7 @@ def test_chunked_events_csv_equals_whole(seed, pol_idx, horizon, robots,
 
 def simulated_outputs(cfg, tiebreak, directory: Path) -> dict[str, bytes]:
     """``patrolsim simulate`` on ``cfg``: the files it writes."""
-    save_graph(cfg.graph, directory / "g.graph")
+    (directory / "g.graph").write_text(dumps_graph(cfg.graph))
     scenario = {"graph": {"file": str(directory / "g.graph")},
                 "policy": cfg.policy.value, "tiebreak": tiebreak,
                 "robots": {"starts": list(cfg.starts),

@@ -1,9 +1,7 @@
 import pytest
 
 from patrolsim.generators import grid_triangulation
-from patrolsim.graph import GraphFormatError
-from patrolsim.triangulation import (Triangulation, TriangulationError,
-                                     dumps_triangulation, parse_triangulation)
+from patrolsim.triangulation import Triangulation, TriangulationError
 
 
 def square_pair():
@@ -50,21 +48,3 @@ def test_build_rejects_overshared_edge():
     with pytest.raises(TriangulationError, match="shared by 3"):
         Triangulation.build(pts, tris)
 
-
-def test_text_roundtrip():
-    for t in (square_pair(), grid_triangulation(3, 2)):
-        back = parse_triangulation(dumps_triangulation(t))
-        assert back.points == t.points
-        assert back.triangles == t.triangles
-        assert back.dual == t.dual
-
-
-def test_parse_errors():
-    with pytest.raises(GraphFormatError, match="missing P"):
-        parse_triangulation("")
-    with pytest.raises(GraphFormatError, match="truncated P"):
-        parse_triangulation("P 2\n0 0\n")
-    with pytest.raises(GraphFormatError, match="expected 'a b c'"):
-        parse_triangulation("P 3\n0 0\n1 0\n0 1\nT 1\n0 1\n")
-    with pytest.raises(GraphFormatError):
-        parse_triangulation("P 3\n0 0\n1 0\n0 1\nT 1\n0 0 1\n")
