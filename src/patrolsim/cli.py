@@ -19,9 +19,9 @@ import sys
 from pathlib import Path
 
 from . import generators
-from .engine import SimConfig, run, run_series
+from .engine import OutputSink, SimConfig, relay, run, run_series
 from .graph import diameter, dumps_graph, load_graph
-from .metrics import fit_growth, metrics_csv, refresh_series
+from .metrics import fit_growth
 from .oracle import exhaustive_tiebreak_search
 from .policies import PolicyKind, TieBreakSpec
 from .triangulation import dumps_triangulation
@@ -77,37 +77,38 @@ def _check_outputs(command: str, paths: dict,
     return resolved
 
 
-def _write(command: str, outputs: dict, out_dir: Path | None = None) -> None:
-    """Write ``outputs``, ``{name: (path, text or writer(file))}``, together.
+@contextlib.contextmanager
+def _writing(command: str, paths: dict, out_dir: Path | None = None):
+    """Yield ``{name: file}``, a text file open for each of ``paths``,
+    ``{name: path}``, and write them together.
 
     ``_check_outputs`` resolves and checks every path before anything is
-    made.  ``out_dir`` and its missing parents are made next.  Each output
-    is written to a temporary sibling, and only when all are written are
-    they renamed onto their paths; a file replaced keeps its permission
-    bits.  On failure the temporaries and the directories made are
-    removed, and an ``OSError`` becomes a usage error."""
-    resolved = _check_outputs(
-        command, {name: path for name, (path, _) in outputs.items()},
-        out_dir)
-    targets = [(resolved[name], content)
-               for name, (_, content) in outputs.items()]
-    made, temps = [], []
+    made.  ``out_dir`` and its missing parents are made next.  Each file is
+    a temporary sibling of its path, and only when the block ends without
+    error are they all closed and renamed onto their paths; a file replaced
+    keeps its permission bits.  On failure the temporaries and the
+    directories made are removed, and an ``OSError`` becomes a usage
+    error."""
+    resolved = _check_outputs(command, paths, out_dir)
+    made, temps, files = [], [], {}
     try:
         if out_dir is not None:
             made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
             out_dir.mkdir(parents=True, exist_ok=True)
-        for i, (real, content) in enumerate(targets):
+        for i, (name, real) in enumerate(resolved.items()):
             temps.append(real.with_name(f".{real.name}.{os.getpid()}.{i}.tmp"))
-            with open(temps[-1], "w") as f:
-                if callable(content):
-                    content(f)
-                else:
-                    f.write(content)
-        for temp, (real, _) in zip(temps, targets):
+            files[name] = open(temps[-1], "w")
+        yield files
+        for f in files.values():
+            f.close()
+        for temp, real in zip(temps, resolved.values()):
             if real.exists():
                 shutil.copymode(real, temp)
             os.replace(temp, real)
     except BaseException as exc:
+        for f in files.values():
+            with contextlib.suppress(OSError):
+                f.close()
         for path in temps:
             with contextlib.suppress(OSError):
                 os.unlink(path)
@@ -117,6 +118,14 @@ def _write(command: str, outputs: dict, out_dir: Path | None = None) -> None:
         if isinstance(exc, OSError):
             raise CliError(f"{command}: {exc}") from exc
         raise
+
+
+def _write(command: str, outputs: dict, out_dir: Path | None = None) -> None:
+    """Write ``outputs``, ``{name: (path, text)}``, through ``_writing``."""
+    with _writing(command, {name: path for name, (path, _)
+                            in outputs.items()}, out_dir) as files:
+        for name, (_, text) in outputs.items():
+            files[name].write(text)
 
 
 def _parse_params(tokens: list[str]) -> dict[str, int]:
@@ -304,6 +313,13 @@ def load_scenario(path, witness: str | None = None
 
 
 def cmd_simulate(args) -> int:
+    """Run the scenario and write ``events.csv``, ``metrics.csv`` and
+    ``summary.json``.  The run is one ``run`` whose sink is an
+    ``OutputSink``: in a forked writer process fed through a pipe
+    (``_run_forked``) when ``_workers()`` is above 1, ``os.fork`` exists
+    and no other thread runs, and in this process otherwise.  The outputs
+    and ``PATROLSIM_WORKERS`` are checked before anything is written or
+    forked."""
     config, outputs, seed = load_scenario(args.scenario, witness=args.witness)
     # invalid overrides, an isolated start vertex and a script that runs
     # out or points outside a tied set are input errors, not failures
@@ -316,26 +332,117 @@ def cmd_simulate(args) -> int:
              for name, default in (("events", "events.csv"),
                                    ("metrics", "metrics.csv"),
                                    ("summary", "summary.json"))}
-    _check_outputs("simulate", paths, out_dir)
+    threading = sys.modules.get("threading")
+    forked = (_workers() > 1 and hasattr(os, "fork")
+              and (threading is None or threading.active_count() == 1))
     try:
         if args.policy:  # --policy '' keeps the scenario's policy
             overrides["policy"] = PolicyKind.parse(args.policy)
-        trace = run(dataclasses.replace(config, **overrides))
+        config = dataclasses.replace(config, **overrides)
     except ValueError as exc:
         raise CliError(f"simulate: {exc}") from exc
-    series = refresh_series(trace)
-    peak = max(series.vertex_peak, default=0)
-    ct = series.coverage_time
-
-    _write("simulate", {
-        "events": (paths["events"], trace.write_events_csv),
-        "metrics": (paths["metrics"], lambda f: f.write(metrics_csv(series))),
-        "summary": (paths["summary"],
-                    trace.summary_json(seed=seed, peak_refresh=peak,
-                                       coverage_time=ct))},
-        out_dir)
+    with _writing("simulate", paths, out_dir) as files:
+        try:
+            if forked:
+                trace, peak, ct = _run_forked(config, files)
+            else:
+                sink = OutputSink(config, files["events"], files["metrics"])
+                trace = run(config, sink)
+                peak, ct = sink.result()
+        except ValueError as exc:
+            raise CliError(f"simulate: {exc}") from exc
+        files["summary"].write(trace.summary_json(
+            seed=seed, peak_refresh=peak, coverage_time=ct))
     print(f"peak_refresh={peak} coverage_time={ct}")
     return 0
+
+
+def _run_forked(config: SimConfig, files: dict) -> tuple:
+    """``run(config)`` in this process, with an ``OutputSink`` on
+    ``files["events"]`` and ``files["metrics"]`` in a forked child, as
+    ``(trace, peak, coverage_time)``.  Each chunk's arc ids cross a pipe as
+    ``array('i')`` bytes, and the child reads each chunk's size off
+    ``engine.relay``.  Whatever fails here, the child is killed and reaped
+    before this returns, so the caller can remove the files."""
+    import signal
+
+    ends, pid = [], 0  # the pipe ends open here, the child's pid
+    try:
+        ends += os.pipe()
+        ends += os.pipe()
+        arcs_in, arcs_out, report_in, report_out = ends
+        pid = os.fork()
+        if pid == 0:
+            _writer_child(config, files, arcs_in, report_out,
+                          (arcs_out, report_in))
+        for fd in (arcs_in, report_out):
+            ends.remove(fd)
+            os.close(fd)
+
+        def send(chunk, moves) -> None:
+            data = memoryview(moves).cast("B")
+            while data:
+                data = data[os.write(arcs_out, data):]
+
+        try:
+            trace = run(config, send)
+        except BrokenPipeError:  # the child stopped: its report says why
+            trace = None
+        ends.remove(arcs_out)
+        os.close(arcs_out)
+        report = b"".join(iter(lambda: os.read(report_in, 1 << 16), b""))
+        status = os.waitpid(pid, 0)[1]
+        pid = 0
+    finally:
+        for fd in ends:
+            os.close(fd)
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    kind, *result = json.loads(report) if report else ("status", status)
+    if kind == "ok":  # the child read every chunk: the run ended
+        return (trace, *result)
+    if kind == "OSError":
+        raise CliError(f"simulate: {result[0]}")
+    raise RuntimeError(f"simulate: the writer process failed: {kind} "
+                       f"{result[0]}")
+
+
+def _writer_child(config: SimConfig, files: dict, arcs_in: int,
+                  report_out: int, others: tuple) -> None:
+    """The child of ``_run_forked``.  It closes the parent's pipe ends
+    ``others``, relays the chunks read from ``arcs_in`` to an
+    ``OutputSink``, closes its two files and writes ``["ok", peak,
+    coverage_time]`` or ``[error type, message]`` to ``report_out``.  Every
+    path leaves through ``os._exit``: the child never returns into its
+    caller, prints no traceback and flushes no buffer it inherited."""
+    from array import array
+    code = 1
+    try:
+        for fd in others:
+            os.close(fd)
+        try:
+            with open(arcs_in, "rb") as pipe:
+                size = array("i").itemsize
+
+                def read(count: int) -> array:
+                    data = pipe.read(count * size)
+                    if len(data) < count * size:
+                        raise EOFError("the run stopped before its horizon")
+                    return array("i", data)
+
+                sink = OutputSink(config, files["events"], files["metrics"])
+                relay(config, sink, read)
+            files["events"].close()
+            files["metrics"].close()
+            report = ["ok", *sink.result()]
+        except Exception as exc:  # the parent raises it
+            report = ["OSError" if isinstance(exc, OSError)
+                      else type(exc).__name__, str(exc)]
+        os.write(report_out, json.dumps(report).encode())
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _parse_range(text: str, flag: str) -> list[int]:
@@ -350,13 +457,10 @@ def _parse_range(text: str, flag: str) -> list[int]:
         raise CliError(f"{flag} expects lo..hi or a,b,c, got {text!r}")
 
 
-def _map(fn, jobs) -> list:
-    """``[fn(job) for job in jobs]``.  The jobs run in a pool of
-    ``min(PATROLSIM_WORKERS, len(jobs), CPUs)`` worker processes when that
-    is above 1, and in this process otherwise; PATROLSIM_WORKERS defaults
-    to the CPU count, and 1 keeps every job here.  ``fn`` and the jobs
-    must pickle.  The pool's modules load only when a pool is made: they
-    would nearly double a command's start-up."""
+def _workers() -> int:
+    """``min(PATROLSIM_WORKERS, CPUs)``: the processes a command may run
+    in.  PATROLSIM_WORKERS defaults to the CPU count and must be an integer
+    of at least 1."""
     cpus = os.cpu_count() or 1
     setting = os.environ.get("PATROLSIM_WORKERS")
     try:
@@ -367,7 +471,16 @@ def _map(fn, jobs) -> list:
     if wanted < 1:
         raise CliError(f"PATROLSIM_WORKERS must be at least 1, "
                        f"got {setting!r}")
-    workers = min(wanted, len(jobs), cpus)
+    return min(wanted, cpus)
+
+
+def _map(fn, jobs) -> list:
+    """``[fn(job) for job in jobs]``.  The jobs run in a pool of
+    ``min(_workers(), len(jobs))`` worker processes when that is above 1,
+    and in this process otherwise, so PATROLSIM_WORKERS=1 keeps every job
+    here.  ``fn`` and the jobs must pickle.  The pool's modules load only
+    when a pool is made: they would nearly double a command's start-up."""
+    workers = min(_workers(), len(jobs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -6,10 +6,11 @@ import io
 import json
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .graph import Graph
-from .metrics import RefreshMeter, RefreshSeries
+from .metrics import (METRICS_HEADER, RefreshMeter, RefreshSeries,
+                      coverage_fractions, metrics_rows)
 from .policies import (IsolatedVertexError, PolicyKind, ScriptUnusedError,
                        TieBreakSpec, decision_keys, tied_entries)
 
@@ -44,6 +45,9 @@ Event = tuple[int, int, int, int, int]
 EVENTS_CHUNK = 8192  # moves in a chunk of rounds, see _chunks
 # A chunk of rounds: (first round, last round, robots, vertices placed)
 Chunk = tuple[int, int, int, list[int]]
+# Takes each chunk of a run and its moves' arc ids, see _walk
+Sink = Callable[[Chunk, Sequence[int]], None]
+EVENTS_HEADER = "round,robot,from,edge,to\n"
 
 
 def _placements(config: SimConfig) -> dict[int, list[int]]:
@@ -104,15 +108,34 @@ def _visits(chunk: Chunk, moves: Iterator[int],
         rounds))
 
 
+def _arc_texts(graph: Graph) -> list[str]:
+    """Each arc's ``events.csv`` text, ``"from,edge,to\n"``, by arc id."""
+    return [f"{u},{e},{w}\n" for u, e, w in graph.arcs]
+
+
+def _events_text(chunk: Chunk, moves: Iterator[int],
+                 arc_text: Sequence[str]) -> str:
+    """``chunk``'s ``events.csv`` rows, read from the arc ids ``moves``.  A
+    row is three texts: ``"t,"``, ``"rid,"`` and the arc's text, laid out
+    by ``_interleave``."""
+    first, last, *_ = chunk
+    rounds = last - first + 1
+    round_text = list(map("{},".format, range(first, last + 1)))
+    return "".join(_interleave([
+        text for rid, arcs in enumerate(_columns(chunk, moves, arc_text))
+        for text in (round_text, [f"{rid},"] * rounds, arcs)], rounds))
+
+
 @dataclass
 class Trace:
-    """A recorded run.  ``moves`` holds one arc id of ``graph.arcs`` per
-    move, in the order they were made: round by round, and within a round
-    by ascending robot id.  Every robot placed moves once a round, so the
-    round and robot of a move follow from its position and the placements."""
+    """A recorded run.  ``moves``, an ``array('i')``, holds one arc id of
+    ``graph.arcs`` per move, in the order they were made: round by round,
+    and within a round by ascending robot id.  Every robot placed moves
+    once a round, so the round and robot of a move follow from its position
+    and the placements."""
 
     config: SimConfig
-    moves: tuple[int, ...]
+    moves: Sequence[int]
     vertex_visit_counts: tuple[int, ...]
     edge_traversal_counts: tuple[int, ...]
 
@@ -154,21 +177,11 @@ class Trace:
         return out.getvalue()
 
     def write_events_csv(self, file) -> None:
-        """Write ``events_csv()`` to ``file`` a chunk of rounds a write.
-        A row is three texts: ``"t,"``, ``"rid,"`` and the arc's
-        ``"from,edge,to\n"``, laid out by ``_interleave``."""
-        file.write("round,robot,from,edge,to\n")
-        arc_text = [f"{u},{e},{w}\n" for u, e, w in self.graph.arcs]
-        moves = iter(self.moves)
+        """Write ``events_csv()`` to ``file`` a chunk of rounds a write."""
+        file.write(EVENTS_HEADER)
+        arc_text, moves = _arc_texts(self.graph), iter(self.moves)
         for chunk in _chunks(self.config):
-            first, last, *_ = chunk
-            rounds = last - first + 1
-            round_text = list(map("{},".format, range(first, last + 1)))
-            file.write("".join(_interleave([
-                text for rid, arcs in enumerate(_columns(chunk, moves,
-                                                         arc_text))
-                for text in (round_text, [f"{rid},"] * rounds, arcs)],
-                rounds)))
+            file.write(_events_text(chunk, moves, arc_text))
 
     def summary_json(self, **extra) -> str:
         """The run's facts and ``extra``'s, as sorted, indented JSON."""
@@ -273,24 +286,85 @@ def finish(state: SimState) -> SimState:
     return state
 
 
-def run(config: SimConfig) -> Trace:
-    """``init`` plus a step of ``horizon`` rounds, every move recorded."""
-    state = finish(step(init(config), config.horizon))
+def _walk(config: SimConfig, sink: Sink) -> SimState:
+    """Step ``config``'s run to the horizon one chunk of ``_chunks(config)``
+    at a time.  After each chunk is stepped, ``sink(chunk, moves)`` gets
+    its arc ids, which are then cleared, so the walk holds one chunk of
+    moves.  Ends with ``finish``."""
+    state = init(config)
+    for chunk in _chunks(config):
+        step(state, chunk[1] - state.round)
+        sink(chunk, state.moves)
+        state.moves.clear()
+    return finish(state)
+
+
+def relay(config: SimConfig, sink: Sink,
+          read: Callable[[int], Sequence[int]]) -> None:
+    """Hand ``sink`` each chunk of ``config``'s run as ``_walk`` does, for a
+    run stepped elsewhere: ``read(count)`` returns the chunk's ``count``
+    arc ids."""
+    for chunk in _chunks(config):
+        sink(chunk, read(chunk[2] * (chunk[1] - chunk[0] + 1)))
+
+
+def run(config: SimConfig, sink: Sink | None = None) -> Trace:
+    """``init`` plus ``horizon`` rounds of ``step``, every move recorded:
+    ``_walk`` with a sink that appends each chunk's arc ids to one
+    ``array('i')``.  A ``sink`` given gets each chunk too, as soon as it is
+    stepped, with its arc ids as an ``array('i')``."""
+    from array import array
+    moves = array("i")
+
+    def record(chunk: Chunk, chunk_moves: list[int]) -> None:
+        done = len(moves)
+        moves.fromlist(chunk_moves)
+        if sink is not None:
+            sink(chunk, moves[done:])
+
+    state = _walk(config, record)
     return Trace(config=config,
-                 moves=tuple(state.moves),
+                 moves=moves,
                  vertex_visit_counts=tuple(state.vcnt),
                  edge_traversal_counts=tuple(state.ecnt))
 
 
 def run_series(config: SimConfig, after: int = 0) -> RefreshSeries:
-    """``refresh_series(run(config), after)`` from a run that holds one
-    chunk of moves at a time: each chunk is stepped, fed to the meter and
-    dropped."""
+    """``refresh_series(run(config), after)`` from ``_walk`` with a meter
+    sink: the run holds one chunk of moves at a time."""
     meter = RefreshMeter(config.graph.n, after)
-    heads, state = [w for _, _, w in config.graph.arcs], init(config)
-    for chunk in _chunks(config):
-        step(state, chunk[1] - state.round)
-        meter.feed(_visits(chunk, iter(state.moves), heads))
-        state.moves.clear()
-    finish(state)
+    heads = [w for _, _, w in config.graph.arcs]
+    _walk(config, lambda chunk, moves: meter.feed(
+        _visits(chunk, iter(moves), heads)))
     return meter.series()
+
+
+class OutputSink:
+    """The sink ``simulate`` walks a run with.  Each chunk's visits are fed
+    to a ``RefreshMeter``, its rows are written to ``events``, and the
+    ``metrics.csv`` rows of the rounds the meter closed are written to
+    ``metrics``, so neither file's text is held whole."""
+
+    def __init__(self, config: SimConfig, events, metrics):
+        g = config.graph
+        self.meter = RefreshMeter(g.n)
+        self.heads = [w for _, _, w in g.arcs]
+        self.arc_text = _arc_texts(g)
+        self.fractions = coverage_fractions(g.n)
+        self.events, self.metrics = events, metrics
+        events.write(EVENTS_HEADER)
+        metrics.write(METRICS_HEADER)
+
+    def __call__(self, chunk: Chunk, moves: Sequence[int]) -> None:
+        meter = self.meter
+        done = len(meter.round_max)
+        meter.feed(_visits(chunk, iter(moves), self.heads))
+        self.events.write(_events_text(chunk, iter(moves), self.arc_text))
+        self.metrics.write(metrics_rows(done, meter.round_max[done:],
+                                        meter.covered[done:],
+                                        self.fractions))
+
+    def result(self) -> tuple[int, int | None]:
+        """The peak refresh and coverage time of the rounds fed so far."""
+        series = self.meter.series()
+        return max(series.vertex_peak, default=0), series.coverage_time

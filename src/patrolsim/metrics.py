@@ -107,13 +107,28 @@ def coverage_time(trace: Trace) -> int | None:
     return refresh_series(trace).coverage_time
 
 
+METRICS_HEADER = "round,max_refresh,coverage_fraction\n"
+
+
+def coverage_fractions(n: int) -> list[str]:
+    """The coverage fraction's text for each count 0..n of vertices
+    visited, so a row formats no float."""
+    return [f"{c / n:.6f}\n" for c in range(n + 1)]
+
+
+def metrics_rows(first: int, round_max: Iterable[int],
+                 covered: Iterable[int], fractions: Sequence[str]) -> str:
+    """The ``metrics.csv`` rows of rounds ``first``, ``first + 1``, ...: one
+    ``%`` format a row, the fraction's text looked up in ``fractions``."""
+    return "".join(map("%d,%d,%s".__mod__, zip(
+        count(first), round_max, map(fractions.__getitem__, covered))))
+
+
 def metrics_csv(series: RefreshSeries) -> str:
     """Per-round series: round, max refresh, fraction of vertices visited."""
-    n = len(series.vertex_peak)
-    fractions = [f"{c / n:.6f}\n" for c in range(n + 1)]
-    return "round,max_refresh,coverage_fraction\n" + "".join(map(
-        "%d,%d,%s".__mod__, zip(count(), series.round_max,
-                                map(fractions.__getitem__, series.covered))))
+    return METRICS_HEADER + metrics_rows(
+        0, series.round_max, series.covered,
+        coverage_fractions(len(series.vertex_peak)))
 
 
 def fit_growth(points: Sequence[tuple[float, float]], model: str) -> float:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import patrolsim
-from patrolsim import cli
+from patrolsim import cli, engine
 from patrolsim.cli import main
 from patrolsim.generators import grid_triangulation
 from patrolsim.graph import dumps_graph, load_graph
@@ -644,6 +644,94 @@ def test_simulate_failure_leaves_no_files(tmp_path, capsys, overrides):
     assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
 
 
+def forking(monkeypatch) -> list:
+    """Make ``simulate`` fork its writer as on a 2-CPU host, and return the
+    list that each fork appends to."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("PATROLSIM_WORKERS", raising=False)
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def counting_writes(monkeypatch, fail_at=None) -> list:
+    """Count this process's ``os.write`` calls, the chunks sent to the
+    writer; the ``fail_at``-th call raises ``KeyboardInterrupt``."""
+    writes, write = [], os.write
+
+    def counted(fd, data):
+        writes.append(len(data))
+        if len(writes) == fail_at:
+            raise KeyboardInterrupt
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "write", counted)
+    return writes
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class FailingSink(cli.OutputSink):
+    """An ``OutputSink`` whose disk fills on the second chunk of moves."""
+
+    def __call__(self, chunk, moves):
+        self.calls = getattr(self, "calls", 0) + bool(moves)
+        if self.calls == 2:
+            raise OSError(28, "No space left on device")
+        super().__call__(chunk, moves)
+
+
+@pytest.mark.parametrize("tiebreak,horizon,chunk,sink,message", [
+    ({"kind": "scripted", "script": [0, 0]}, 100, 1, cli.OutputSink,
+     "script exhausted"),
+    ({"kind": "scripted", "script": [0] * 500}, 100, 8192, cli.OutputSink,
+     "script choices left unread"),
+    ("lowest_id", 60_000, 8192, FailingSink, "No space left on device"),
+], ids=["script-runs-out", "script-left-unread", "writer-oserror"])
+def test_forked_simulate_failure_leaves_nothing(tmp_path, monkeypatch,
+                                                capsys, tiebreak, horizon,
+                                                chunk, sink, message):
+    # the writer child is killed and reaped, and every temporary and the
+    # new --out-dir are removed.  The script runs out at its third tie, in
+    # round 8, after 7 one-round chunks were sent; the writer fails on the
+    # second of 8 chunks, while more arc ids are left to send than a pipe
+    # holds
+    forks = forking(monkeypatch)
+    writes = counting_writes(monkeypatch)
+    monkeypatch.setattr(engine, "EVENTS_CHUNK", chunk)
+    monkeypatch.setattr(cli, "OutputSink", sink)
+    scenario = write_scenario(tmp_path / "s.json", tiebreak=tiebreak,
+                              horizon=horizon)
+    assert main(["simulate", "--scenario", str(scenario),
+                 "--out-dir", str(tmp_path / "out" / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: simulate: ") and err.count("\n") == 1
+    assert message in err
+    assert forks == [1] and len(writes) >= 1
+    assert [p.name for p in tmp_path.rglob("*")] == ["s.json"]
+    assert_no_child_left()
+
+
+def test_interrupted_forked_simulate_leaves_nothing(tmp_path, monkeypatch):
+    forks = forking(monkeypatch)
+    counting_writes(monkeypatch, fail_at=3)
+    scenario = write_scenario(tmp_path / "s.json", horizon=30_000)
+    with pytest.raises(KeyboardInterrupt):
+        main(["simulate", "--scenario", str(scenario),
+              "--out-dir", str(tmp_path / "out")])
+    assert forks == [1]
+    assert [p.name for p in tmp_path.rglob("*")] == ["s.json"]
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("command", ["generate", "simulate", "sweep",
                                      "search"])
 def test_failed_rename_leaves_nothing_behind(tmp_path, monkeypatch, capsys,
@@ -843,36 +931,45 @@ def test_verify_pool_is_sized_by_checks_and_cpus(monkeypatch, capsys, cpus):
     assert sizes == ([size] if size > 1 else [])
 
 
-@pytest.mark.parametrize("argv", [
+WORKERS_ARGV = pytest.mark.parametrize("argv", [
     ["verify", "invariants"],
     ["sweep", "--family", "path", "--sweep", "n=4..5", "--policies",
      "lrv-v", "--horizon", "10"],
-], ids=["verify", "sweep"])
+    ["simulate", "--scenario", "s.json"],
+], ids=["verify", "sweep", "simulate"])
+
+
+def no_fork():
+    raise AssertionError("forked")
+
+
+@WORKERS_ARGV
 def test_workers_not_an_integer_exits_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.setenv("PATROLSIM_WORKERS", "x")
+    monkeypatch.setattr(os, "fork", no_fork)
+    write_scenario(tmp_path / "s.json")
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "PATROLSIM_WORKERS" in err
-    assert list(tmp_path.iterdir()) == []
+    assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
-@pytest.mark.parametrize("argv", [
-    ["verify", "invariants"],
-    ["sweep", "--family", "path", "--sweep", "n=4..5", "--policies",
-     "lrv-v", "--horizon", "10"],
-], ids=["verify", "sweep"])
+@WORKERS_ARGV
 def test_workers_below_1_exits_2(tmp_path, monkeypatch, capsys, argv, value):
-    # a count below 1 used to run every job in this process
+    # a count below 1 used to run every job in this process, and simulate
+    # read no count at all
     monkeypatch.setenv("PATROLSIM_WORKERS", value)
+    monkeypatch.setattr(os, "fork", no_fork)
+    write_scenario(tmp_path / "s.json")
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (f"error: PATROLSIM_WORKERS must be at least 1, "
                    f"got '{value}'\n")
-    assert list(tmp_path.iterdir()) == []
+    assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
 
 
 # Run in a fresh interpreter, since pytest may have loaded any of these.

@@ -18,8 +18,9 @@ from patrolsim import cli, engine
 from patrolsim.engine import SimConfig, run, run_series
 from patrolsim.graph import dumps_graph
 from patrolsim.metrics import RefreshMeter, metrics_csv, refresh_series
-from patrolsim.generators import cycle
+from patrolsim.generators import cycle, grid_triangulation
 from patrolsim.policies import PolicyKind, ScriptUnusedError, TieBreakSpec
+from test_cli import forking
 from test_properties import random_connected_graph
 
 ALL_POLICIES = tuple(PolicyKind)
@@ -102,7 +103,9 @@ def test_chunked_events_csv_equals_whole(seed, pol_idx, horizon, robots,
 
 
 def simulated_outputs(cfg, tiebreak, directory: Path) -> dict[str, bytes]:
-    """``patrolsim simulate`` on ``cfg``: the files it writes."""
+    """``patrolsim simulate`` on ``cfg``: the files it writes and its
+    stdout."""
+    directory.mkdir(exist_ok=True)
     (directory / "g.graph").write_text(dumps_graph(cfg.graph))
     scenario = {"graph": {"file": str(directory / "g.graph")},
                 "policy": cfg.policy.value, "tiebreak": tiebreak,
@@ -110,21 +113,24 @@ def simulated_outputs(cfg, tiebreak, directory: Path) -> dict[str, bytes]:
                            "arrivals": [list(a) for a in cfg.arrivals]},
                 "horizon": cfg.horizon}
     (directory / "s.json").write_text(json.dumps(scenario))
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(stdout := io.StringIO()):
         assert cli.main(["simulate", "--scenario", str(directory / "s.json"),
                          "--out-dir", str(directory / "out")]) == 0
-    return {name: (directory / "out" / name).read_bytes()
-            for name in ("events.csv", "metrics.csv", "summary.json")}
+    return {"stdout": stdout.getvalue().encode(),
+            **{name: (directory / "out" / name).read_bytes()
+               for name in ("events.csv", "metrics.csv", "summary.json")}}
 
 
 def recorded_outputs(cfg) -> dict[str, bytes]:
     """The outputs as built from a whole recorded trace."""
     trace = run(cfg)
     series = refresh_series(trace)
-    summary = trace.summary_json(
-        seed=0, peak_refresh=max(series.vertex_peak, default=0),
-        coverage_time=series.coverage_time)
-    return {"events.csv": trace.events_csv().encode(),
+    peak = max(series.vertex_peak, default=0)
+    summary = trace.summary_json(seed=0, peak_refresh=peak,
+                                 coverage_time=series.coverage_time)
+    return {"stdout": f"peak_refresh={peak} coverage_time="
+                      f"{series.coverage_time}\n".encode(),
+            "events.csv": trace.events_csv().encode(),
             "metrics.csv": metrics_csv(series).encode(),
             "summary.json": summary.encode()}
 
@@ -153,6 +159,47 @@ def test_simulate_past_one_chunk_of_events(tmp_path):
     assert engine.EVENTS_CHUNK < 9_000 < 2 * engine.EVENTS_CHUNK
     assert simulated_outputs(cfg, TIEBREAKS["seeded_random"][0], tmp_path) \
         == recorded_outputs(cfg)
+
+
+# (events chunk, grid size, policy, tie-break, starts, arrivals, horizon)
+# on the grid(w, w) dual.  The first two put arrivals on the seams of the
+# run without them: two robots walk 4-round chunks, and three 2-round ones.
+# The last is 8 robots in 1,024-round chunks, a ninth arriving at the
+# first seam.
+SEAMS = [
+    (8, 3, PolicyKind.LRV_E, "seeded_random", (0, 9),
+     ((5, 3), (9, 4), (9, 17)), 40),
+    (8, 3, PolicyKind.LFV_V, "lowest_id", (0, 9), ((0, 2), (5, 3), (9, 4)),
+     40),
+    (1, 3, PolicyKind.RANDOM, "seeded_random", (5,), ((1, 1), (30, 2)), 30),
+    (3, 3, PolicyKind.LFV_E, "seeded_random", (1, 2, 3), (), 25),
+    (8192, 10, PolicyKind.LRV_V, "lowest_id",
+     tuple(i * 200 // 9 for i in range(1, 9)), ((1025, 0),), 2_000),
+]
+
+
+@pytest.mark.parametrize("chunk,w,policy,kind,starts,arrivals,horizon",
+                         SEAMS, ids=["seams-lrv-e", "seams-lfv-v",
+                                     "round-chunks", "three-robots",
+                                     "nine-robots"])
+def test_forked_and_in_process_simulate_match(tmp_path, monkeypatch, chunk,
+                                              w, policy, kind, starts,
+                                              arrivals, horizon):
+    # PATROLSIM_WORKERS unset on 2 CPUs: the run's arc ids cross a pipe to
+    # a forked writer a chunk at a time; PATROLSIM_WORKERS=1: the same
+    # sinks run in this process
+    raw, spec = TIEBREAKS[kind]
+    cfg = SimConfig(graph=grid_triangulation(w, w).dual, policy=policy,
+                    starts=starts, horizon=horizon, tiebreak=spec,
+                    arrivals=arrivals)
+    monkeypatch.setattr(engine, "EVENTS_CHUNK", chunk)
+    assert len(list(engine._chunks(cfg))) > 3
+    forks = forking(monkeypatch)
+    forked = simulated_outputs(cfg, raw, tmp_path / "forked")
+    monkeypatch.setenv("PATROLSIM_WORKERS", "1")
+    one = simulated_outputs(cfg, raw, tmp_path / "one")
+    assert forks == [1]
+    assert one == forked == recorded_outputs(cfg)
 
 
 def peak_growth(make, horizons):
@@ -194,9 +241,10 @@ def test_run_series_memory_holds_no_events():
 
 
 def test_recorded_run_memory_per_move():
-    # a recorded run holds one arc id a move, in a list and then in the
-    # trace's tuple: about 16 bytes a move.  A stored event tuple would
-    # cost 80 bytes or more
+    # a recorded run holds one 4-byte arc id a move in the trace's
+    # array('i'), and one chunk of moves in a list while it steps: about
+    # 4.3 bytes a move.  A list and then a tuple of ids cost about 16, and
+    # a stored event tuple 80 or more
     config = memory_config(3)
     trace_growth = peak_growth(lambda h: run(config(h)), HORIZONS)
-    assert trace_growth <= 24 * 3 * 18_000
+    assert trace_growth <= 8 * 3 * 18_000
