@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import generators
-from .engine import OutputSink, SimConfig, relay, run, run_series
+from .engine import OutputSink, SimConfig, relay, run, run_series, send
 from .graph import diameter, dumps_graph, load_graph
 from .metrics import fit_growth
 from .oracle import exhaustive_tiebreak_search
@@ -360,10 +360,10 @@ def cmd_simulate(args) -> int:
 def _run_forked(config: SimConfig, files: dict) -> tuple:
     """``run(config)`` in this process, with an ``OutputSink`` on
     ``files["events"]`` and ``files["metrics"]`` in a forked child, as
-    ``(trace, peak, coverage_time)``.  Each chunk's arc ids cross a pipe as
-    ``array('i')`` bytes, and the child reads each chunk's size off
-    ``engine.relay``.  Whatever fails here, the child is killed and reaped
-    before this returns, so the caller can remove the files."""
+    ``(trace, peak, coverage_time)``.  The run's chunks cross a pipe from
+    ``engine.send`` to ``engine.relay``.  Whatever fails here, the child
+    is killed and reaped before this returns, so the caller can remove the
+    files."""
     import signal
 
     ends, pid = [], 0  # the pipe ends open here, the child's pid
@@ -378,14 +378,8 @@ def _run_forked(config: SimConfig, files: dict) -> tuple:
         for fd in (arcs_in, report_out):
             ends.remove(fd)
             os.close(fd)
-
-        def send(chunk, moves) -> None:
-            data = memoryview(moves).cast("B")
-            while data:
-                data = data[os.write(arcs_out, data):]
-
         try:
-            trace = run(config, send)
+            trace = run(config, lambda chunk, moves: send(arcs_out, moves))
         except BrokenPipeError:  # the child stopped: its report says why
             trace = None
         ends.remove(arcs_out)
@@ -399,7 +393,9 @@ def _run_forked(config: SimConfig, files: dict) -> tuple:
         if pid:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    kind, *result = json.loads(report) if report else ("status", status)
+    code = os.waitstatus_to_exitcode(status)  # -N: killed by signal N
+    kind, *result = json.loads(report) if report else (
+        ("exit code", code) if code >= 0 else ("signal", -code))
     if kind == "ok":  # the child read every chunk: the run ended
         return (trace, *result)
     if kind == "OSError":
@@ -416,23 +412,14 @@ def _writer_child(config: SimConfig, files: dict, arcs_in: int,
     coverage_time]`` or ``[error type, message]`` to ``report_out``.  Every
     path leaves through ``os._exit``: the child never returns into its
     caller, prints no traceback and flushes no buffer it inherited."""
-    from array import array
     code = 1
     try:
         for fd in others:
             os.close(fd)
         try:
             with open(arcs_in, "rb") as pipe:
-                size = array("i").itemsize
-
-                def read(count: int) -> array:
-                    data = pipe.read(count * size)
-                    if len(data) < count * size:
-                        raise EOFError("the run stopped before its horizon")
-                    return array("i", data)
-
                 sink = OutputSink(config, files["events"], files["metrics"])
-                relay(config, sink, read)
+                relay(config, sink, pipe)
             files["events"].close()
             files["metrics"].close()
             report = ["ok", *sink.result()]

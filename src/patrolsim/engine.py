@@ -5,7 +5,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, product
 from typing import Callable, Iterator, Sequence
 
 from .graph import Graph
@@ -80,13 +80,12 @@ def _chunks(config: SimConfig) -> Iterator[Chunk]:
         robots, first = robots + len(placed), t
 
 
-def _columns(chunk: Chunk, moves: Iterator[int],
+def _columns(chunk: Chunk, moves: Sequence[int],
              table: Sequence) -> list[list]:
-    """``chunk``'s moves, read from the arc ids ``moves`` and looked up in
-    ``table``, as one column per robot: its entries round by round."""
-    first, last, robots, _ = chunk
-    moved = [table[a] for a in islice(moves, robots * (last - first + 1))]
-    return [moved[rid::robots] for rid in range(robots)]
+    """``chunk``'s arc ids ``moves``, looked up in ``table``, as one column
+    per robot: its entries round by round."""
+    moved = [table[a] for a in moves]
+    return [moved[rid::chunk[2]] for rid in range(chunk[2])]
 
 
 def _interleave(columns: list, rounds: int) -> list:
@@ -98,24 +97,14 @@ def _interleave(columns: list, rounds: int) -> list:
     return laid
 
 
-def _visits(chunk: Chunk, moves: Iterator[int],
-            heads: Sequence[int]) -> Iterator[int]:
-    """``chunk`` as a ``RefreshMeter`` stream: the vertices placed in its
-    first round, then each round's move ``heads`` (by arc id) and CLOSE."""
-    rounds = chunk[1] - chunk[0] + 1
-    return chain(chunk[3], _interleave(
-        [*_columns(chunk, moves, heads), [RefreshMeter.CLOSE] * rounds],
-        rounds))
-
-
 def _arc_texts(graph: Graph) -> list[str]:
     """Each arc's ``events.csv`` text, ``"from,edge,to\n"``, by arc id."""
     return [f"{u},{e},{w}\n" for u, e, w in graph.arcs]
 
 
-def _events_text(chunk: Chunk, moves: Iterator[int],
+def _events_text(chunk: Chunk, moves: Sequence[int],
                  arc_text: Sequence[str]) -> str:
-    """``chunk``'s ``events.csv`` rows, read from the arc ids ``moves``.  A
+    """``chunk``'s ``events.csv`` rows, from its arc ids ``moves``.  A
     row is three texts: ``"t,"``, ``"rid,"`` and the arc's text, laid out
     by ``_interleave``."""
     first, last, *_ = chunk
@@ -155,33 +144,27 @@ class Trace:
         return tuple((t, rid, v) for rid, (t, v) in enumerate(
             (t, v) for t in sorted(placed) for v in placed[t]))
 
+    def replay(self, sink: Sink) -> None:
+        """``relay`` of the recorded run: ``sink`` gets ``run``'s chunks."""
+        relay(self.config, sink, io.BytesIO(self.moves))
+
     @property
     def events(self) -> tuple[Event, ...]:
-        """Every move as ``(round, robot, from, edge, to)``, built from
-        ``moves`` on each read."""
-        arcs, moves = self.graph.arcs, iter(self.moves)
-        return tuple((t, rid, *arc) for chunk in _chunks(self.config)
-                     for t, *row in zip(range(chunk[0], chunk[1] + 1),
-                                        *_columns(chunk, moves, arcs))
-                     for rid, arc in enumerate(row))
-
-    def visits(self) -> Iterator[int]:
-        """The run as a ``RefreshMeter`` stream: for each round 0..horizon,
-        the vertices placed in it, its moves' heads, then ``CLOSE``."""
-        heads, moves = [w for _, _, w in self.graph.arcs], iter(self.moves)
-        return chain.from_iterable(_visits(chunk, moves, heads)
-                                   for chunk in _chunks(self.config))
+        """Every move as ``(round, robot, from, edge, to)``, replayed from
+        ``moves`` on each read: a chunk's moves are its rounds times its
+        robots, in that order."""
+        arcs, events = self.graph.arcs, []
+        self.replay(lambda chunk, moves: events.extend(
+            (t, rid, *arcs[a]) for (t, rid), a in zip(product(
+                range(chunk[0], chunk[1] + 1), range(chunk[2])), moves)))
+        return tuple(events)
 
     def events_csv(self) -> str:
-        self.write_events_csv(out := io.StringIO())
-        return out.getvalue()
-
-    def write_events_csv(self, file) -> None:
-        """Write ``events_csv()`` to ``file`` a chunk of rounds a write."""
-        file.write(EVENTS_HEADER)
-        arc_text, moves = _arc_texts(self.graph), iter(self.moves)
-        for chunk in _chunks(self.config):
-            file.write(_events_text(chunk, moves, arc_text))
+        """The run's ``events.csv`` text, replayed from ``moves``."""
+        arc_text, texts = _arc_texts(self.graph), [EVENTS_HEADER]
+        self.replay(lambda chunk, moves: texts.append(
+            _events_text(chunk, moves, arc_text)))
+        return "".join(texts)
 
     def summary_json(self, **extra) -> str:
         """The run's facts and ``extra``'s, as sorted, indented JSON."""
@@ -299,13 +282,28 @@ def _walk(config: SimConfig, sink: Sink) -> SimState:
     return finish(state)
 
 
-def relay(config: SimConfig, sink: Sink,
-          read: Callable[[int], Sequence[int]]) -> None:
+def relay(config: SimConfig, sink: Sink, source) -> None:
     """Hand ``sink`` each chunk of ``config``'s run as ``_walk`` does, for a
-    run stepped elsewhere: ``read(count)`` returns the chunk's ``count``
-    arc ids."""
+    run stepped elsewhere, reading its arc ids from ``source``, a binary
+    file of ``array('i')`` bytes as ``send`` writes them.  A source that
+    ends before the horizon raises ``EOFError``."""
+    from array import array
+    size = array("i").itemsize
     for chunk in _chunks(config):
-        sink(chunk, read(chunk[2] * (chunk[1] - chunk[0] + 1)))
+        count = size * chunk[2] * (chunk[1] - chunk[0] + 1)
+        data = source.read(count)
+        if len(data) < count:
+            raise EOFError("the run ended before its horizon")
+        sink(chunk, array("i", data))
+
+
+def send(fd: int, moves: Sequence[int]) -> None:
+    """Write ``moves``, a chunk's arc ids in the ``array('i')`` that ``run``
+    hands its sink, to the file descriptor ``fd``, for ``relay`` to read."""
+    import os
+    data = memoryview(moves).cast("B")
+    while data:
+        data = data[os.write(fd, data):]
 
 
 def run(config: SimConfig, sink: Sink | None = None) -> Trace:
@@ -329,13 +327,25 @@ def run(config: SimConfig, sink: Sink | None = None) -> Trace:
                  edge_traversal_counts=tuple(state.ecnt))
 
 
+def meter_sink(meter: RefreshMeter, graph: Graph) -> Sink:
+    """A sink that feeds ``meter`` each chunk of a run on ``graph``: its
+    placed vertices, then each round's move heads and ``CLOSE``."""
+    heads = [w for _, _, w in graph.arcs]
+
+    def feed(chunk: Chunk, moves: Sequence[int]) -> None:
+        rounds = chunk[1] - chunk[0] + 1
+        meter.feed(chain(chunk[3], _interleave(
+            [*_columns(chunk, moves, heads), [RefreshMeter.CLOSE] * rounds],
+            rounds)))
+
+    return feed
+
+
 def run_series(config: SimConfig, after: int = 0) -> RefreshSeries:
     """``refresh_series(run(config), after)`` from ``_walk`` with a meter
     sink: the run holds one chunk of moves at a time."""
     meter = RefreshMeter(config.graph.n, after)
-    heads = [w for _, _, w in config.graph.arcs]
-    _walk(config, lambda chunk, moves: meter.feed(
-        _visits(chunk, iter(moves), heads)))
+    _walk(config, meter_sink(meter, config.graph))
     return meter.series()
 
 
@@ -348,7 +358,7 @@ class OutputSink:
     def __init__(self, config: SimConfig, events, metrics):
         g = config.graph
         self.meter = RefreshMeter(g.n)
-        self.heads = [w for _, _, w in g.arcs]
+        self.feed = meter_sink(self.meter, g)
         self.arc_text = _arc_texts(g)
         self.fractions = coverage_fractions(g.n)
         self.events, self.metrics = events, metrics
@@ -358,8 +368,8 @@ class OutputSink:
     def __call__(self, chunk: Chunk, moves: Sequence[int]) -> None:
         meter = self.meter
         done = len(meter.round_max)
-        meter.feed(_visits(chunk, iter(moves), self.heads))
-        self.events.write(_events_text(chunk, iter(moves), self.arc_text))
+        self.feed(chunk, moves)
+        self.events.write(_events_text(chunk, moves, self.arc_text))
         self.metrics.write(metrics_rows(done, meter.round_max[done:],
                                         meter.covered[done:],
                                         self.fractions))

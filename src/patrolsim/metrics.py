@@ -90,10 +90,11 @@ class RefreshMeter:
 
 
 def refresh_series(trace: Trace, after: int = 0) -> RefreshSeries:
-    """Every refresh metric of ``trace``: its visits fed through a
-    ``RefreshMeter`` in one pass."""
+    """Every refresh metric of ``trace``: its run replayed a chunk at a
+    time into a ``RefreshMeter``."""
+    from .engine import meter_sink  # engine imports this module
     meter = RefreshMeter(trace.graph.n, after)
-    meter.feed(trace.visits())
+    trace.replay(meter_sink(meter, trace.graph))
     return meter.series()
 
 

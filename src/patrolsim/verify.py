@@ -396,24 +396,23 @@ def criterion_differential() -> CheckResult:
     the witness of each tie-break search of ``_witness_cases``, which the
     engine replays to the searched peak.  An exception on either side
     fails the case."""
-    for case, cfg in _differential_configs():
-        if _diverges(run(cfg), reference_run(cfg)):
-            return CheckResult("differential", False,
-                               f"case {case}: engine and reference diverge "
-                               f"(n={cfg.graph.n}, policy={cfg.policy.value}"
-                               f", horizon={cfg.horizon})")
     witnesses = _witness_cases()
-    for name, g, policy, horizon in witnesses:
-        where = f"{name} {policy.value} witness at horizon {horizon}"
-        try:
-            replayed = _replays_witness(g, policy, horizon)
-        except Exception as exc:  # a broken side may raise anything
-            return CheckResult("differential", False,
-                               f"{where}: {type(exc).__name__}: {exc}")
-        if replayed is None:
-            return CheckResult("differential", False,
-                               f"{where}: engine, reference and search "
-                               "diverge")
+    try:
+        for case, cfg in _differential_configs():
+            where = f"case {case}"
+            if _diverges(run(cfg), reference_run(cfg)):
+                return CheckResult(
+                    "differential", False, f"{where}: engine and reference "
+                    f"diverge (n={cfg.graph.n}, policy={cfg.policy.value}, "
+                    f"horizon={cfg.horizon})")
+        for name, g, policy, horizon in witnesses:
+            where = f"{name} {policy.value} witness at horizon {horizon}"
+            if _replays_witness(g, policy, horizon) is None:
+                return CheckResult("differential", False, f"{where}: engine, "
+                                   "reference and search diverge")
+    except Exception as exc:  # a broken side may raise anything
+        return CheckResult("differential", False,
+                           f"{where}: {type(exc).__name__}: {exc}")
     return CheckResult("differential", True,
                        f"{case + 1} randomized configs and "
                        f"{len(witnesses)} search witnesses identical")

@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -727,6 +728,27 @@ def test_interrupted_forked_simulate_leaves_nothing(tmp_path, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         main(["simulate", "--scenario", str(scenario),
               "--out-dir", str(tmp_path / "out")])
+    assert forks == [1]
+    assert [p.name for p in tmp_path.rglob("*")] == ["s.json"]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("end,message", [
+    (lambda: os._exit(3), "exit code 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9"),
+], ids=["exit-3", "killed"])
+def test_unreported_writer_end_names_how_it_ended(tmp_path, monkeypatch,
+                                                  end, message):
+    # a writer that ends without a report: the error names its exit code
+    # or signal, not the raw wait status
+    forks = forking(monkeypatch)
+    monkeypatch.setattr(cli, "_writer_child", lambda *args: end())
+    scenario = write_scenario(tmp_path / "s.json")
+    with pytest.raises(RuntimeError) as raised:
+        main(["simulate", "--scenario", str(scenario),
+              "--out-dir", str(tmp_path / "out")])
+    assert str(raised.value) == \
+        f"simulate: the writer process failed: {message}"
     assert forks == [1]
     assert [p.name for p in tmp_path.rglob("*")] == ["s.json"]
     assert_no_child_left()

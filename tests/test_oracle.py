@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patrolsim import engine, generators, oracle, verify
+from patrolsim.cli import main
 from patrolsim.engine import SimConfig, run
 from patrolsim.generators import cycle, four_cycle_chain, path_dual
 from patrolsim.graph import Graph
@@ -135,6 +137,25 @@ def test_witness_replay_failure_is_a_fail_line(monkeypatch, search, detail):
         "FAIL differential: four_cycle_chain(2) lrv-v witness at horizon 80: "
         + detail)
 
+
+def test_differential_case_that_raises_is_a_fail_line(monkeypatch, capsys):
+    # the engine raises on its 50th step, inside one of the randomized
+    # configs: that case fails instead of ending the check with a traceback
+    steps, step = [], engine.step
+
+    def failing_step(state, rounds=1):
+        steps.append(rounds)
+        if len(steps) == 50:
+            raise IndexError("step 50")
+        return step(state, rounds)
+
+    monkeypatch.setattr(engine, "step", failing_step)
+    line = verify.criterion_differential().line()
+    assert re.fullmatch(r"FAIL differential: case \d+: IndexError: step 50",
+                        line)
+    steps.clear()
+    assert main(["verify", "differential"]) == 1
+    assert capsys.readouterr().out == line + "\n"
 
 
 def test_lrv_worst_case_fails_on_a_diverging_witness(monkeypatch):

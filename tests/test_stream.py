@@ -88,20 +88,6 @@ def test_run_series_rejects_unread_script_entries():
         run_series(cfg)
 
 
-@given(st.integers(0, 10**9), st.integers(0, 4), st.integers(0, 13),
-       st.integers(1, 3), st.booleans(), st.integers(1, 5))
-@settings(max_examples=60, deadline=None)
-def test_chunked_events_csv_equals_whole(seed, pol_idx, horizon, robots,
-                                         arrive, chunk):
-    cfg = random_config(seed, pol_idx, horizon, robots, arrive,
-                        TieBreakSpec.seeded_random(seed % 89))
-    trace = run(cfg)
-    out = io.StringIO()
-    with mock.patch.object(engine, "EVENTS_CHUNK", chunk):
-        trace.write_events_csv(out)
-    assert out.getvalue() == trace.events_csv()
-
-
 def simulated_outputs(cfg, tiebreak, directory: Path) -> dict[str, bytes]:
     """``patrolsim simulate`` on ``cfg``: the files it writes and its
     stdout."""
@@ -176,22 +162,26 @@ SEAMS = [
     (8192, 10, PolicyKind.LRV_V, "lowest_id",
      tuple(i * 200 // 9 for i in range(1, 9)), ((1025, 0),), 2_000),
 ]
+SEAMS_IDS = ["seams-lrv-e", "seams-lfv-v", "round-chunks", "three-robots",
+             "nine-robots"]
+
+
+def seams_config(w, policy, kind, starts, arrivals, horizon) -> SimConfig:
+    return SimConfig(graph=grid_triangulation(w, w).dual, policy=policy,
+                     starts=starts, horizon=horizon,
+                     tiebreak=TIEBREAKS[kind][1], arrivals=arrivals)
 
 
 @pytest.mark.parametrize("chunk,w,policy,kind,starts,arrivals,horizon",
-                         SEAMS, ids=["seams-lrv-e", "seams-lfv-v",
-                                     "round-chunks", "three-robots",
-                                     "nine-robots"])
+                         SEAMS, ids=SEAMS_IDS)
 def test_forked_and_in_process_simulate_match(tmp_path, monkeypatch, chunk,
                                               w, policy, kind, starts,
                                               arrivals, horizon):
     # PATROLSIM_WORKERS unset on 2 CPUs: the run's arc ids cross a pipe to
     # a forked writer a chunk at a time; PATROLSIM_WORKERS=1: the same
     # sinks run in this process
-    raw, spec = TIEBREAKS[kind]
-    cfg = SimConfig(graph=grid_triangulation(w, w).dual, policy=policy,
-                    starts=starts, horizon=horizon, tiebreak=spec,
-                    arrivals=arrivals)
+    raw = TIEBREAKS[kind][0]
+    cfg = seams_config(w, policy, kind, starts, arrivals, horizon)
     monkeypatch.setattr(engine, "EVENTS_CHUNK", chunk)
     assert len(list(engine._chunks(cfg))) > 3
     forks = forking(monkeypatch)
@@ -200,6 +190,26 @@ def test_forked_and_in_process_simulate_match(tmp_path, monkeypatch, chunk,
     one = simulated_outputs(cfg, raw, tmp_path / "one")
     assert forks == [1]
     assert one == forked == recorded_outputs(cfg)
+
+
+@pytest.mark.parametrize("chunk,w,policy,kind,starts,arrivals,horizon",
+                         SEAMS, ids=SEAMS_IDS)
+def test_replay_hands_sinks_the_walked_chunks(monkeypatch, chunk, w, policy,
+                                              kind, starts, arrivals,
+                                              horizon):
+    # a recorded run read back through relay gives a sink the chunks and
+    # arc ids that _walk gave run's sink; a source cut short ends the
+    # replay with EOFError after the chunks it holds whole
+    cfg = seams_config(w, policy, kind, starts, arrivals, horizon)
+    monkeypatch.setattr(engine, "EVENTS_CHUNK", chunk)
+    walked, replayed, cut = [], [], []
+    trace = run(cfg, lambda chunk, moves: walked.append((chunk, [*moves])))
+    trace.replay(lambda chunk, moves: replayed.append((chunk, [*moves])))
+    assert len(walked) > 3 and replayed == walked
+    with pytest.raises(EOFError):
+        engine.relay(cfg, lambda chunk, moves: cut.append((chunk, [*moves])),
+                     io.BytesIO(trace.moves.tobytes()[:-1]))
+    assert cut == walked[:-1]
 
 
 def peak_growth(make, horizons):
