@@ -63,13 +63,21 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
     node's ``_decision_class``.  A branch frame whose subtree held at least
     ``MEMO_MIN_NODES`` nodes stores that count under both when it is
     popped, and a dead branch node of a stored class adds the count, cut
-    at the budget, instead of walking the subtree.  Under LRV, once no
-    vertex is stale and no key is -1, the keys are distinct and the rest
-    of the path is forced: its nodes are counted at once, cut at the
-    budget, and the walk goes on at the leaf.  No gap of such a tail
-    exceeds the best, so the leaf raises the best only to its peak so
-    far.  Node order, node counts, the budget check and the result stay
-    those of the full walk.
+    at the budget, instead of walking the subtree.
+
+    Under LRV, once a move leaves no key at -1, every key is a distinct
+    round, so no set ties again and the rest of the path is a forced tail.
+    Its nodes up to the leaf are counted at once, cut at the budget.  With
+    no vertex stale the walk goes on at the leaf: no gap of the tail
+    exceeds the best, so the leaf raises the best only to its peak so far.
+    Otherwise the tail's moves depend only on ``pos`` and the keys'
+    ``_decision_class``, and a stamp takes one class to one class, so
+    ``tails`` stores them under both the first time a walk takes them.  A
+    later tail of a stored class replays them without the kernel, and
+    past their end walks on and stores each further move.  Each move
+    updates ``vlast``, the peak, the keys and ``stale``, and the tail goes
+    on at the leaf once no vertex is stale.  Node order, node counts, the
+    budget check and the result stay those of the full walk.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -106,6 +114,17 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
     # explored[(vertex, time)][_decision_class(...)]: the node count of a
     # branch node's subtree, walked to its end
     explored: dict[tuple, dict] = {}
+    # tails[(vertex, order)]: a forced tail's moves from there, as far as a
+    # walk has taken them, each the index of its entry in adj[vertex].
+    # order lists the indices of the keys from the oldest round on: for
+    # distinct keys, what their _decision_class says.  Both are bytes where
+    # their indices stay below 256.
+    tails: dict[tuple, bytearray | list] = {}
+    pack = bytes if len(keys) <= 256 else tuple
+    store = bytearray if g.max_degree() <= 256 else list
+    # the LRV key that the last move overwrote: a tail begins where it was
+    # the last -1
+    was = 0
     pos, t, peak = start, 1, 0
     while True:
         # visit the node (pos, t, peak)
@@ -166,6 +185,8 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
             entry = tied[idx]
         # move to entry's vertex in round t
         pos = entry[0]
+        if stamp:
+            was = keys[entry[slot]]
         old = vlast[pos]
         if old < 0:
             old = 0
@@ -179,13 +200,35 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
                 keys[entry[1]] = t
         if old < cutoff <= t:
             stale -= 1
-            if not stale and stamp and -1 not in keys:
-                # distinct LRV keys never tie again: count the forced
-                # nodes up to the leaf, cut at the budget, and go there
-                nodes += horizon - t
-                if nodes > node_budget:
-                    nodes = node_budget
-                t = horizon
+        if was < 0 and -1 not in keys:
+            # every key is a distinct round from here, so the path to the
+            # leaf is forced: count its nodes, and move along it while a
+            # vertex is stale
+            nodes += horizon - t
+            if nodes > node_budget:  # the leaf's visit cuts the walk
+                nodes = node_budget
+            elif stale:
+                moves = tails.setdefault((pos, pack(sorted(
+                    range(len(keys)), key=keys.__getitem__))), store())
+                stored = len(moves)  # past them, walk on and store
+                for k, t in enumerate(range(t + 1, horizon + 1)):
+                    entries = adj[pos]
+                    if k < stored:
+                        entry = entries[moves[k]]
+                    else:
+                        entry = tied_entries(entries, keys, slot)[0]
+                        # a vertex's arcs are numbered in adj order
+                        moves.append(entry[2] - entries[0][2])
+                    pos = entry[0]
+                    old = vlast[pos]
+                    vlast[pos] = keys[entry[slot]] = t  # LRV_V: keys is vlast
+                    if t - old > peak:
+                        peak = t - old
+                    if old < cutoff <= t:
+                        stale -= 1
+                        if not stale:
+                            break
+            t = horizon
         t += 1
     return WorstCaseResult(peak=best_peak, witness=best_witness,
                            complete=complete, nodes_explored=nodes)

@@ -66,6 +66,26 @@ def test_criterion_06_multi_robot_speedup():
     assert not failed, f"clauses violated: {failed}"
 
 
+@pytest.mark.parametrize("lrv,lfv,line", [
+    ({1: 180.0, 3: 60.0, 9: 30.0}, {1: 300.0, 3: 100.0, 9: 50.0},
+     "PASS multi-robot-speedup: lrv-v peaks r=1:180, r=3:60, r=9:30, "
+     "speedup 6.0; lfv-e peaks r=1:300, r=3:100, r=9:50, speedup 6.0"),
+    ({1: 180.0, 3: 60.0, 9: 30.0}, {1: 400.0, 3: 100.0, 9: 89.0},
+     "FAIL multi-robot-speedup: lfv-e r=9: 89 > 67 | lrv-v peaks r=1:180, "
+     "r=3:60, r=9:30, speedup 6.0; lfv-e peaks r=1:400, r=3:100, r=9:89, "
+     "speedup 4.5"),
+    ({1: 180.0, 3: 60.0, 9: 60.0}, {1: 300.0, 3: 100.0, 9: 50.0},
+     "FAIL multi-robot-speedup: lrv-v: speedup 3.0 < 4 | lrv-v peaks "
+     "r=1:180, r=3:60, r=9:60, speedup 3.0; lfv-e peaks r=1:300, r=3:100, "
+     "r=9:50, speedup 6.0"),
+], ids=["pass", "bound-fail", "speedup-fail"])
+def test_criterion_06_verdict_line(monkeypatch, lrv, lfv, line):
+    # the verdict that `verify theorems` prints, on stubbed measurements
+    monkeypatch.setattr(verify, "multi_robot_steady_means", lambda: (
+        200, {PolicyKind.LRV_V: lrv, PolicyKind.LFV_E: lfv}))
+    assert verify.criterion_multi_robot_speedup().line() == line
+
+
 def test_criterion_07_flower_ratio():
     check(verify.criterion_flower_ratio())
 

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from patrolsim.cli import main
 from patrolsim.graph import (DisconnectedGraphError, Graph, GraphError,
                              GraphFormatError, check_edge_list, diameter,
                              dumps_graph, parse_graph)
@@ -120,3 +123,45 @@ def test_parse_errors():
         parse_graph("2 1\n0 5\n")
     with pytest.raises(GraphFormatError):
         parse_graph("4 3\n0 1\n")  # fewer edges than declared
+
+
+# a malformed graph file: (text, line number, message)
+PARSE_ERRORS = [
+    ("", 1, "empty file"),
+    ("2 x\n0 1\n", 1, "expected integers, got '2 x'"),
+    ("-1 0\n", 1, "n and m must be non-negative"),
+    ("2 1\n# name\n0 1\n", 2, "expected '# key value', got '# name'"),
+    ("3 1\n0 1\n1 2\n", 3, "more edges than declared in header"),
+    ("3 1\n0 1 2\n", 2, "expected 'u v', got '0 1 2'"),
+    ("3 1\n0 one\n", 2, "expected integers, got '0 one'"),
+    ("3 1\n2 1\n", 2, "edge (2,1) not in u < v form"),
+]
+PARSE_ERROR_IDS = ["empty", "header-not-int", "header-negative",
+                   "bad-meta", "extra-edge", "bad-edge-line", "edge-not-int",
+                   "edge-reversed"]
+
+
+@pytest.mark.parametrize("text,line_no,message", PARSE_ERRORS,
+                         ids=PARSE_ERROR_IDS)
+def test_parse_error_names_its_line(text, line_no, message):
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph(text)
+    assert info.value.line_no == line_no
+    assert str(info.value) == f"line {line_no}: {message}"
+
+
+@pytest.mark.parametrize("text,line_no,message", PARSE_ERRORS,
+                         ids=PARSE_ERROR_IDS)
+def test_simulate_graph_file_parse_error_exits_2(tmp_path, capsys, text,
+                                                 line_no, message):
+    (tmp_path / "g.graph").write_text(text)
+    (tmp_path / "s.json").write_text(json.dumps({
+        "graph": {"file": str(tmp_path / "g.graph")}, "policy": "lrv-v",
+        "robots": {"starts": [0]}, "horizon": 10}))
+    assert main(["simulate", "--scenario", str(tmp_path / "s.json"),
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: scenario: graph.file: line {line_no}: "
+                            f"{message}\n")
+    assert not (tmp_path / "o").exists()

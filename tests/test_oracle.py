@@ -394,14 +394,144 @@ def test_search_replays_repeated_subtrees():
 
 def test_search_counts_forced_lrv_tails_unwalked():
     # the benchmark's lrv-e search: few of its subtrees repeat, but most
-    # paths end in a forced tail once no vertex is stale and every edge has
-    # been traversed; the walk calls the kernel at 455,429 nodes
+    # paths end in a forced tail once every edge has been traversed; the
+    # walk calls the kernel at 455,429 nodes, and 336,196 with the tails
+    # walked until no vertex is stale.  Its 3,200 tails fall into 1,088
+    # classes, whose moves the table of tails replays
     res, calls = counted_search(generators.diamond_gadget_chain(3),
                                 PolicyKind.LRV_E, 0, 160,
                                 node_budget=3_000_000)
     assert (res.peak, res.complete, res.nodes_explored) == (55, True,
                                                              458_629)
-    assert calls < 400_000
+    assert calls <= 150_515
+
+
+@pytest.mark.parametrize("graph,horizon,expected,bound", [
+    # the benchmark's larger lrv-v search: 231,873 of its 262,402 kernel
+    # calls fell in forced tails before the table of tails; its 2,048
+    # tails fall into 384 classes
+    (lambda: four_cycle_chain(6), 240, (98, True, 399_361), 82_447),
+    # 125 of its 129 tails begin with no vertex stale and go straight to
+    # the leaf; walking them calls the kernel 3,361 times
+    (lambda: generators.grid_triangulation(3, 3).dual, 40,
+     (40, True, 3_940), 2_568),
+], ids=["four-cycle-chain", "grid-dual"])
+def test_search_replays_forced_lrv_tails(graph, horizon, expected, bound):
+    res, calls = counted_search(graph(), PolicyKind.LRV_V, 0, horizon,
+                                node_budget=2_000_000)
+    assert (res.peak, res.complete, res.nodes_explored) == expected
+    assert calls <= bound
+
+
+@pytest.mark.parametrize("graph,policy,horizon", [
+    (lambda: four_cycle_chain(2), PolicyKind.LRV_V, 30),
+    (lambda: generators.diamond_gadget_chain(1), PolicyKind.LRV_E, 30),
+    (lambda: cycle(5), PolicyKind.LRV_V, 20),
+], ids=["four-cycle-chain-lrv-v", "diamond-lrv-e", "cycle-lrv-v"])
+def test_search_matches_naive_recursion_at_every_budget(graph, policy,
+                                                        horizon):
+    # a budget that runs out inside a forced tail stops the walk where the
+    # full walk would, on whichever node it falls
+    g = graph()
+    (_, _, _, total), _ = naive_search(g, policy, 0, horizon, 10**6)
+    for budget in range(total + 2):
+        expected, _ = naive_search(g, policy, 0, horizon, budget)
+        res = exhaustive_tiebreak_search(g, policy, 0, horizon,
+                                         node_budget=budget)
+        assert (res.peak, res.witness, res.complete,
+                res.nodes_explored) == expected, budget
+
+
+def forced_tail_rounds(g, policy, start, horizon):
+    """``{(vertex, order): [round, ...]}``: where the keys of an LRV search
+    tree first hold no -1, under the order of their indices from the oldest
+    round, with the rounds in the order of a depth-first walk.  Plain
+    recursion over copied lists, sharing no code with ``oracle``."""
+    edges = sorted(tuple(sorted(e)) for e in g.edges)
+    nbrs = {v: [] for v in range(g.n)}
+    for eid, (u, v) in enumerate(edges):
+        nbrs[u].append((v, eid))
+        nbrs[v].append((u, eid))
+    by_edge = policy is PolicyKind.LRV_E
+    rounds = {}
+
+    def visit(pos, t, vlast, elast):
+        keys = elast if by_edge else vlast
+        if -1 not in keys:
+            order = tuple(sorted(range(len(keys)), key=keys.__getitem__))
+            rounds.setdefault((pos, order), []).append(t)
+        elif t <= horizon:
+            scored = [(elast[e] if by_edge else vlast[w], e if by_edge else w,
+                       w, e) for w, e in nbrs[pos]]
+            lowest = min(scored)[0]
+            for _, _, w, e in sorted(x for x in scored if x[0] == lowest):
+                vlast2, elast2 = list(vlast), list(elast)
+                vlast2[w] = elast2[e] = t
+                visit(w, t + 1, vlast2, elast2)
+
+    vlast = [-1] * g.n
+    vlast[start] = 0
+    visit(start, 1, vlast, [-1] * g.m)
+    return rounds
+
+
+class RecordingMoves(bytearray):
+    """A stored tail's moves that log each read and append."""
+    log: list = []
+
+    def __getitem__(self, k):
+        self.log.append((id(self), "read"))
+        return super().__getitem__(k)
+
+    def append(self, move):
+        self.log.append((id(self), "append"))
+        super().append(move)
+
+
+@pytest.mark.parametrize("graph,policy", [
+    (lambda: four_cycle_chain(3), PolicyKind.LRV_V),
+    (lambda: generators.diamond_gadget_chain(2), PolicyKind.LRV_E),
+], ids=["four-cycle-chain-lrv-v", "diamond-lrv-e"])
+def test_search_replays_and_extends_recurring_tails(graph, policy):
+    g = graph()
+    # a tail class recurs at another round, and later at an earlier round
+    # than its first, so with more moves to go than that tail stored
+    rounds = forced_tail_rounds(g, policy, 0, 40).values()
+    assert any(len(set(r)) > 1 for r in rounds)
+    assert any(min(r[1:], default=r[0]) < r[0] for r in rounds)
+    expected, _ = naive_search(g, policy, 0, 40, 100_000)
+    RecordingMoves.log = []
+    with mock.patch.object(oracle, "bytearray", RecordingMoves,
+                           create=True):
+        res = exhaustive_tiebreak_search(g, policy, 0, 40,
+                                         node_budget=100_000)
+    assert (res.peak, res.witness, res.complete,
+            res.nodes_explored) == expected
+    # some tail replays stored moves and then walks on past them
+    read = set()
+    extended = set()
+    for moves, event in RecordingMoves.log:
+        if event == "read":
+            read.add(moves)
+        elif moves in read:
+            extended.add(moves)
+    assert extended
+
+
+def test_search_stores_moves_from_a_vertex_of_degree_above_256():
+    # a path 0..299 and a hub 300 joined to all of it: from 299 the first
+    # branch walks the path down to 0 and then to the hub, where every
+    # vertex has been seen and a forced tail leaves the hub along its
+    # 300th arc, to 299
+    n = 300
+    g = Graph(n + 1, [(v, v + 1) for v in range(n - 1)]
+              + [(v, n) for v in range(n)])
+    assert g.degree(n) == n
+    expected, _ = naive_search(g, PolicyKind.LRV_V, n - 1, n + 20, 3_000)
+    res = exhaustive_tiebreak_search(g, PolicyKind.LRV_V, n - 1, n + 20,
+                                     node_budget=3_000)
+    assert (res.peak, res.witness, res.complete,
+            res.nodes_explored) == expected
 
 
 @pytest.mark.parametrize("edges,policy,start,horizon", [
