@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import sub
 
 from .engine import SimConfig
 from .graph import Graph
@@ -35,6 +36,62 @@ def _decision_class(keys: list[int] | None, bump: bool) -> tuple:
         return tuple([k - first for k in keys])
     rank = {k: i for i, k in enumerate(sorted(set(keys)))}
     return tuple(map(rank.__getitem__, keys))
+
+
+def _tour(path: list[int], n: int) -> tuple:
+    """``(path, firsts, cmax)`` for the tour of a forced LRV tail, the
+    ``p = len(path)`` positions that its walk repeats forever: ``firsts[v]``
+    is the offset (1..p) of the first visit to ``v``, and ``firsts`` None if
+    the tour misses a vertex; ``cmax`` is the longest gap between successive
+    visits to one vertex around the tour, the gap across its end included.
+    Both sequences are bytes where their values fit."""
+    p = len(path)
+    firsts, lasts = [0] * n, [0] * n
+    cmax = 0
+    for j, v in enumerate(path, 1):
+        if lasts[v]:
+            cmax = max(cmax, j - lasts[v])
+        else:
+            firsts[v] = j
+        lasts[v] = j
+    cmax = max(cmax, max(f + p - last for f, last in zip(firsts, lasts)
+                         if last))
+    pack = bytes if n <= 256 and p <= 255 else list
+    return pack(path), pack(firsts) if all(firsts) else None, cmax
+
+
+def _tour_peak(tour: tuple, first: int, vlast: list[int], peak: int,
+               stale: int, cutoff: int, horizon: int) -> tuple[int, int]:
+    """``(peak, stale)`` where a forced LRV tail that walks ``tour`` from
+    round ``first`` on, with ``stale`` of its vertices last seen before
+    round ``cutoff``, stops: where no vertex is stale, or at the horizon.
+    With a vertex stale at the horizon ``vlast`` is that of the horizon;
+    otherwise it may be left behind.
+
+    For a tour with ``firsts``, each window of p rounds visits every
+    vertex.  If ``first + p <= cutoff``, every vertex is stale until a
+    round T with ``cutoff <= T``, and ``T <= horizon`` if also
+    ``cutoff + p - 1 <= horizon``.  Every gap value has occurred by T: the
+    first visits' and the tour's inner gaps by ``first + p``.  A vertex's
+    gap across the tour's end closes where the vertex is next seen after
+    ``first + p``, which it must be by T, unless the tour ends at it: then
+    that gap is its first visit's offset, which its first gap matches.  So
+    the peak is known without a move.  Otherwise the tail moves."""
+    path, firsts, cmax = tour
+    p = len(path)
+    if firsts is not None and first + p <= cutoff <= horizon - p + 1:
+        return max(peak, cmax, first + max(map(sub, firsts, vlast))), 0
+    for k, t in enumerate(range(first + 1, horizon + 1)):
+        pos = path[k % p]
+        old = vlast[pos]
+        vlast[pos] = t
+        if t - old > peak:
+            peak = t - old
+        if old < cutoff <= t:
+            stale -= 1
+            if not stale:
+                break
+    return peak, stale
 
 
 def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
@@ -71,13 +128,15 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
     no vertex stale the walk goes on at the leaf: no gap of the tail
     exceeds the best, so the leaf raises the best only to its peak so far.
     Otherwise the tail's moves depend only on ``pos`` and the keys'
-    ``_decision_class``, and a stamp takes one class to one class, so
-    ``tails`` stores them under both the first time a walk takes them.  A
-    later tail of a stored class replays them without the kernel, and
-    past their end walks on and stores each further move.  Each move
-    updates ``vlast``, the peak, the keys and ``stale``, and the tail goes
-    on at the leaf once no vertex is stale.  Node order, node counts, the
-    budget check and the result stay those of the full walk.
+    ``_decision_class``, and a stamp takes one class to one class.  So
+    where the walk comes back to a tail's class after p moves, it repeats
+    those p moves forever: a tour.  A tail walks with the kernel until
+    its class recurs, and ``tours`` stores the tour's ``_tour`` under
+    both; a later tail of a stored class walks it without the kernel, or
+    takes its peak in closed form (``_tour_peak``).  Each move updates
+    ``vlast``, the peak, the keys and ``stale``, and the tail goes on at
+    the leaf once no vertex is stale.  Node order, node counts, the budget
+    check and the result stay those of the full walk.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -114,14 +173,13 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
     # explored[(vertex, time)][_decision_class(...)]: the node count of a
     # branch node's subtree, walked to its end
     explored: dict[tuple, dict] = {}
-    # tails[(vertex, order)]: a forced tail's moves from there, as far as a
-    # walk has taken them, each the index of its entry in adj[vertex].
-    # order lists the indices of the keys from the oldest round on: for
-    # distinct keys, what their _decision_class says.  Both are bytes where
-    # their indices stay below 256.
-    tails: dict[tuple, bytearray | list] = {}
+    # tours[(vertex, order)]: the _tour of a forced tail from there, where
+    # a walk has seen its class recur.  order lists the indices of the keys
+    # from the oldest round on: for distinct keys, what their
+    # _decision_class says.  It is bytes where the indices stay below 256.
+    tours: dict[tuple, tuple] = {}
     pack = bytes if len(keys) <= 256 else tuple
-    store = bytearray if g.max_degree() <= 256 else list
+    indices, by_key = range(len(keys)), keys.__getitem__
     # the LRV key that the last move overwrote: a tail begins where it was
     # the last -1
     was = 0
@@ -135,8 +193,10 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
         if t > horizon:
             # exactly the leaves whose peak or trailing gap beats the best
             if peak > best_peak or stale:
+                # with no vertex stale, no trailing gap exceeds the best (and
+                # a tail may have left vlast behind)
                 trailing = horizon - max(min(vlast), 0)
-                best_peak = peak if peak > trailing else trailing
+                best_peak = peak if peak > trailing or not stale else trailing
                 best_witness = tuple(f[1] - 1 for f in stack)
                 # the leaf backtracks, so only the frames need a recount
                 cutoff = horizon - best_peak
@@ -208,26 +268,36 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
             if nodes > node_budget:  # the leaf's visit cuts the walk
                 nodes = node_budget
             elif stale:
-                moves = tails.setdefault((pos, pack(sorted(
-                    range(len(keys)), key=keys.__getitem__))), store())
-                stored = len(moves)  # past them, walk on and store
-                for k, t in enumerate(range(t + 1, horizon + 1)):
-                    entries = adj[pos]
-                    if k < stored:
-                        entry = entries[moves[k]]
-                    else:
-                        entry = tied_entries(entries, keys, slot)[0]
-                        # a vertex's arcs are numbered in adj order
-                        moves.append(entry[2] - entries[0][2])
-                    pos = entry[0]
-                    old = vlast[pos]
-                    vlast[pos] = keys[entry[slot]] = t  # LRV_V: keys is vlast
-                    if t - old > peak:
-                        peak = t - old
-                    if old < cutoff <= t:
-                        stale -= 1
-                        if not stale:
+                home, order = pos, pack(sorted(indices, key=by_key))
+                tour = tours.get((home, order))
+                first = t
+                if tour is None:
+                    # walk with the kernel until the class recurs: back home
+                    # over the same newest two keys (or one), in one order
+                    newest, second = order[-1], order[-2:][0]
+                    path = []
+                    for t in range(first + 1, horizon + 1):
+                        entry = tied_entries(adj[pos], keys, slot)[0]
+                        pos = entry[0]
+                        path.append(pos)
+                        old = vlast[pos]
+                        vlast[pos] = keys[entry[slot]] = t  # LRV_V: vlast
+                        if t - old > peak:
+                            peak = t - old
+                        if old < cutoff <= t:
+                            stale -= 1
+                            if not stale:
+                                break
+                        if (pos == home and keys[newest] == t
+                                and keys[second] >= t - 1
+                                and pack(sorted(indices, key=by_key))
+                                == order):
+                            tour = tours[home, order] = _tour(path, g.n)
+                            first = t
                             break
+                if stale and tour is not None:
+                    peak, stale = _tour_peak(tour, first, vlast, peak, stale,
+                                             cutoff, horizon)
             t = horizon
         t += 1
     return WorstCaseResult(peak=best_peak, witness=best_witness,

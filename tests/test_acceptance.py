@@ -8,12 +8,15 @@ the policy does not promise it (see the README).  `patrolsim verify
 theorems` still reports criterion 6 against the bound as stated.
 """
 
+import itertools
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from patrolsim import verify
 from patrolsim.cli import main
+from patrolsim.graph import Graph
 from patrolsim.policies import PolicyKind
 
 
@@ -84,6 +87,95 @@ def test_criterion_06_verdict_line(monkeypatch, lrv, lfv, line):
     monkeypatch.setattr(verify, "multi_robot_steady_means", lambda: (
         200, {PolicyKind.LRV_V: lrv, PolicyKind.LFV_E: lfv}))
     assert verify.criterion_multi_robot_speedup().line() == line
+
+
+# The FAIL verdicts of the other checks, each forced by a stubbed family or
+# measurement.
+
+@pytest.fixture
+def stranded_family(monkeypatch):
+    # one edge and an isolated vertex, which no walk from 0 reaches
+    monkeypatch.setattr(verify, "_coverage_families",
+                        lambda: {"edge+isolated(3)": Graph(3, [(0, 1)])})
+    monkeypatch.setattr(verify, "diameter", lambda g: 1)
+
+
+def test_criterion_01_fail_line(stranded_family):
+    assert verify.criterion_coverage().line() == (
+        "FAIL coverage: edge+isolated(3) under lrv-v: no coverage within 30 "
+        "rounds")
+
+
+def test_criterion_02_fail_line(stranded_family):
+    # max_degree ** diameter = 1, and lfv-v visits 0 a second time at
+    # round 2
+    assert verify.criterion_frequency_bound().line() == (
+        "FAIL frequency-bound: edge+isolated(3) seed 0: count 2 exceeds "
+        "bound 1 with unvisited vertices present")
+
+
+def test_criterion_03_fail_line(monkeypatch):
+    # a peak one above 4*m*d, where the warm-up is m*d
+    monkeypatch.setattr(verify, "run_series", lambda cfg, after: (
+        SimpleNamespace(vertex_peak=[4 * after + 1])))
+    assert verify.criterion_lfve_latency().line() == (
+        "FAIL lfve-latency: grid(5,5) seed 0: peak 4421 > 4*m*d=4420")
+
+
+def test_criterion_04_fail_line(monkeypatch):
+    monkeypatch.setattr(verify, "run_series", lambda cfg: SimpleNamespace(
+        vertex_peak=[0] * cfg.graph.n))
+    monkeypatch.setattr(verify, "fit_growth", lambda points, kind: 3.0)
+    assert verify.criterion_quadratic_growth().line() == (
+        "FAIL quadratic-growth: lfv-v: exponent 3.00 outside [1.6, 2.5]")
+
+
+def test_criterion_05_fail_line_below_lowest_id(monkeypatch):
+    # the search's peak is real, the lowest-id run's stubbed above it
+    monkeypatch.setattr(verify, "run_series", lambda cfg: SimpleNamespace(
+        vertex_peak=[1000]))
+    assert verify.criterion_lrv_worst_case().line() == (
+        "FAIL lrv-worst-case: k=2: search peak 10 below lowest-id peak 1000")
+
+
+@pytest.mark.parametrize("name,stub,line", [
+    ("assign_owners",
+     lambda t: SimpleNamespace(message="no owner for triangle 0"),
+     "grid(2,2): no owner for triangle 0"),
+    ("verify_theorem1", lambda t, owners: [(0, 1), (2, 3)],
+     "grid(2,2): 2 connected-owner violations"),
+    ("verify_theorem2", lambda t, owners: SimpleNamespace(
+        violations=(4,), bound=18, max_dual_edges_owned=19),
+     "grid(2,2): 1 primal vertices own more than 18 dual edges"),
+    # a count that grows with the grid: its number of triangles
+    ("verify_theorem2", lambda t, owners: SimpleNamespace(
+        violations=(), bound=18, max_dual_edges_owned=len(t.triangles)),
+     "ownership count grows with size: {2: 8, 3: 18, 4: 32, 5: 50, 6: 72, "
+     "7: 98, 8: 128, 9: 162, 10: 200}"),
+], ids=["no-owner-map", "theorem1", "theorem2", "no-plateau"])
+def test_criterion_08_fail_lines(monkeypatch, name, stub, line):
+    monkeypatch.setattr(verify, name, stub)
+    assert verify.criterion_ownership().line() == f"FAIL ownership: {line}"
+
+
+def test_invariants_fail_lines(monkeypatch):
+    # a family that fails each structural check, and runs whose traces
+    # differ each time and whose visits do not add up
+    broken = SimpleNamespace(meta={}, n=2, m=1, degree=lambda v: 0,
+                             validate=lambda require_max_deg3: "stub defect")
+    monkeypatch.setattr(verify, "_coverage_families",
+                        lambda: {"broken": broken})
+    monkeypatch.setattr(verify, "dumps_graph", lambda g: "")
+    monkeypatch.setattr(verify, "parse_graph", lambda text: None)
+    runs = itertools.count()
+    monkeypatch.setattr(verify, "run", lambda cfg: SimpleNamespace(
+        moves=[next(runs)], marks=[], vertex_visit_counts=[5]))
+    assert [r.line() for r in verify.suite_invariants()] == [
+        "FAIL graph-invariants: broken: stub defect; broken: degree sum "
+        "mismatch; broken: save/load round-trip changed the graph",
+        "FAIL run-determinism: traces diverged",
+        "FAIL visit-conservation: visit counts do not sum to marks and moves",
+    ]
 
 
 def test_criterion_07_flower_ratio():

@@ -397,28 +397,36 @@ def test_search_counts_forced_lrv_tails_unwalked():
     # paths end in a forced tail once every edge has been traversed; the
     # walk calls the kernel at 455,429 nodes, and 336,196 with the tails
     # walked until no vertex is stale.  Its 3,200 tails fall into 1,088
-    # classes, whose moves the table of tails replays
+    # classes, each a tour of 30 moves; replaying each class's moves from
+    # a table took 150,515 calls
     res, calls = counted_search(generators.diamond_gadget_chain(3),
                                 PolicyKind.LRV_E, 0, 160,
                                 node_budget=3_000_000)
     assert (res.peak, res.complete, res.nodes_explored) == (55, True,
                                                              458_629)
-    assert calls <= 150_515
+    assert calls <= 77_701
 
 
-@pytest.mark.parametrize("graph,horizon,expected,bound", [
+@pytest.mark.parametrize("graph,policy,horizon,budget,expected,bound", [
     # the benchmark's larger lrv-v search: 231,873 of its 262,402 kernel
-    # calls fell in forced tails before the table of tails; its 2,048
-    # tails fall into 384 classes
-    (lambda: four_cycle_chain(6), 240, (98, True, 399_361), 82_447),
+    # calls fell in forced tails before they were replayed; its 2,048
+    # tails fall into 384 classes, each a tour of 34 moves.  Replaying
+    # each class's moves from a table took 82,447 calls
+    (lambda: four_cycle_chain(6), PolicyKind.LRV_V, 240, 2_000_000,
+     (98, True, 399_361), 43_585),
     # 125 of its 129 tails begin with no vertex stale and go straight to
     # the leaf; walking them calls the kernel 3,361 times
-    (lambda: generators.grid_triangulation(3, 3).dual, 40,
-     (40, True, 3_940), 2_568),
-], ids=["four-cycle-chain", "grid-dual"])
-def test_search_replays_forced_lrv_tails(graph, horizon, expected, bound):
-    res, calls = counted_search(graph(), PolicyKind.LRV_V, 0, horizon,
-                                node_budget=2_000_000)
+    (lambda: generators.grid_triangulation(3, 3).dual, PolicyKind.LRV_V, 40,
+     2_000_000, (40, True, 3_940), 2_568),
+    # tours of 548-554 moves, too long to store as bytes; replaying each
+    # class's moves took 167,042 calls
+    (lambda: generators.grid_triangulation(10, 10).dual, PolicyKind.LRV_E,
+     10_000, 200_000, (1766, False, 200_001), 17_393),
+], ids=["four-cycle-chain", "grid-dual", "grid10-lrv-e"])
+def test_search_replays_forced_lrv_tails(graph, policy, horizon, budget,
+                                         expected, bound):
+    res, calls = counted_search(graph(), policy, 0, horizon,
+                                node_budget=budget)
     assert (res.peak, res.complete, res.nodes_explored) == expected
     assert calls <= bound
 
@@ -427,11 +435,15 @@ def test_search_replays_forced_lrv_tails(graph, horizon, expected, bound):
     (lambda: four_cycle_chain(2), PolicyKind.LRV_V, 30),
     (lambda: generators.diamond_gadget_chain(1), PolicyKind.LRV_E, 30),
     (lambda: cycle(5), PolicyKind.LRV_V, 20),
-], ids=["four-cycle-chain-lrv-v", "diamond-lrv-e", "cycle-lrv-v"])
+    (lambda: four_cycle_chain(2), PolicyKind.LRV_V, 60),
+    (lambda: tour_case(1926)[0], PolicyKind.LRV_V, 23),
+], ids=["four-cycle-chain-lrv-v", "diamond-lrv-e", "cycle-lrv-v",
+        "four-cycle-chain-tours", "tour-case-lrv-v"])
 def test_search_matches_naive_recursion_at_every_budget(graph, policy,
                                                         horizon):
     # a budget that runs out inside a forced tail stops the walk where the
-    # full walk would, on whichever node it falls
+    # full walk would, on whichever node it falls.  Tails of the last two
+    # searches take the closed form, the second's at both its edges
     g = graph()
     (_, _, _, total), _ = naive_search(g, policy, 0, horizon, 10**6)
     for budget in range(total + 2):
@@ -475,47 +487,114 @@ def forced_tail_rounds(g, policy, start, horizon):
     return rounds
 
 
-class RecordingMoves(bytearray):
-    """A stored tail's moves that log each read and append."""
+class RecordingPath(bytes):
+    """A tour's positions that log the offset of each read."""
     log: list = []
 
     def __getitem__(self, k):
-        self.log.append((id(self), "read"))
+        self.log.append((id(self), k))
         return super().__getitem__(k)
-
-    def append(self, move):
-        self.log.append((id(self), "append"))
-        super().append(move)
 
 
 @pytest.mark.parametrize("graph,policy", [
     (lambda: four_cycle_chain(3), PolicyKind.LRV_V),
     (lambda: generators.diamond_gadget_chain(2), PolicyKind.LRV_E),
 ], ids=["four-cycle-chain-lrv-v", "diamond-lrv-e"])
-def test_search_replays_and_extends_recurring_tails(graph, policy):
+def test_search_walks_recurring_tails_as_tours(graph, policy):
     g = graph()
     # a tail class recurs at another round, and later at an earlier round
-    # than its first, so with more moves to go than that tail stored
-    rounds = forced_tail_rounds(g, policy, 0, 40).values()
+    # than its first, so with more moves to go than that tail walked; at
+    # horizon 40 the diamond chain's tails all end before their class
+    # recurs
+    rounds = forced_tail_rounds(g, policy, 0, 60).values()
     assert any(len(set(r)) > 1 for r in rounds)
     assert any(min(r[1:], default=r[0]) < r[0] for r in rounds)
-    expected, _ = naive_search(g, policy, 0, 40, 100_000)
-    RecordingMoves.log = []
-    with mock.patch.object(oracle, "bytearray", RecordingMoves,
-                           create=True):
-        res = exhaustive_tiebreak_search(g, policy, 0, 40,
+    expected, _ = naive_search(g, policy, 0, 60, 100_000)
+    RecordingPath.log = []
+    tour = oracle._tour
+
+    def recording(path, n):
+        path, firsts, cmax = tour(path, n)
+        return RecordingPath(path), firsts, cmax
+
+    with mock.patch.object(oracle, "_tour", recording):
+        res = exhaustive_tiebreak_search(g, policy, 0, 60,
                                          node_budget=100_000)
     assert (res.peak, res.witness, res.complete,
             res.nodes_explored) == expected
-    # some tail replays stored moves and then walks on past them
-    read = set()
-    extended = set()
-    for moves, event in RecordingMoves.log:
-        if event == "read":
-            read.add(moves)
-        elif moves in read:
-            extended.add(moves)
-    assert extended
+    # a tour is walked from its start after the walk that proved it, and
+    # again by a later tail of its class, which reads it from the table
+    # and calls no kernel
+    starts = [path for path, k in RecordingPath.log if k == 0]
+    assert max(map(starts.count, starts)) > 1
+
+
+def tour_case(case):
+    """``(graph, policy, horizon)`` of seeded case ``case``: a random
+    spanning tree on 3-7 vertices plus up to 2n random edges, LRV_V or
+    LRV_E, horizon 20-79, small enough for ``naive_search``."""
+    rng = random.Random(7000 + case)
+    n = rng.randrange(3, 8)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(rng.randrange(2 * n + 1)):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return (Graph(n, sorted(edges)),
+            rng.choice((PolicyKind.LRV_V, PolicyKind.LRV_E)),
+            rng.randrange(20, 80))
+
+
+def tour_rule_edges(g, policy, start, horizon, budget):
+    """``(result, edges)``: the search's result, and the edges of the tour
+    rules that the tails given to ``_tour_peak`` met, for tours that visit
+    every vertex:
+
+    - "closed": the closed form fires;
+    - "closed at p": ... with ``cutoff == first + p``;
+    - "moves below p": ``cutoff == first + p - 1``, so the tail moves;
+    - "closed at horizon": the closed form fires with
+      ``cutoff + p - 1 == horizon``;
+    - "moves past horizon": ``cutoff + p - 1 == horizon + 1`` and
+      ``cutoff >= first + p``, so the tail moves."""
+    edges = set()
+    tour_peak = oracle._tour_peak
+
+    def recording(tour, first, vlast, peak, stale, cutoff, horizon):
+        path, firsts, _ = tour
+        p = len(path)
+        closed = first + p <= cutoff <= horizon - p + 1
+        edges.update(name for name, met in (
+            ("closed", closed),
+            ("closed at p", closed and cutoff == first + p),
+            ("moves below p", cutoff == first + p - 1
+             and cutoff <= horizon - p + 1),
+            ("closed at horizon", closed and cutoff == horizon - p + 1),
+            ("moves past horizon", first + p <= cutoff
+             and cutoff == horizon - p + 2),
+        ) if met and firsts is not None)
+        return tour_peak(tour, first, vlast, peak, stale, cutoff, horizon)
+
+    with mock.patch.object(oracle, "_tour_peak", recording):
+        res = exhaustive_tiebreak_search(g, policy, start, horizon,
+                                         node_budget=budget)
+    return (res.peak, res.witness, res.complete, res.nodes_explored), edges
+
+
+@pytest.mark.parametrize("edge,case", [
+    ("closed", 1926), ("closed at p", 439), ("moves below p", 636),
+    ("closed at horizon", 1926), ("moves past horizon", 2338),
+])
+def test_tour_rules_match_naive_recursion_at_their_edges(edge, case):
+    # a tail of a stored tour takes the closed form only where every
+    # vertex is stale until first + p and then seen again by the horizon;
+    # elsewhere it moves
+    g, policy, horizon = tour_case(case)
+    expected, _ = naive_search(g, policy, 0, horizon, 20_000)
+    for memo in (oracle.MEMO_MIN_NODES, 1):
+        with mock.patch.object(oracle, "MEMO_MIN_NODES", memo):
+            res, edges = tour_rule_edges(g, policy, 0, horizon, 20_000)
+        assert res == expected, memo
+        assert edge in edges, memo
 
 
 def test_search_stores_moves_from_a_vertex_of_degree_above_256():
@@ -655,6 +734,119 @@ def test_distinct_lrv_keys_never_tie_again():
     assert reached >= 100
 
 
+def test_forced_lrv_walk_repeats_its_tour():
+    # the tour lemma behind the tours: once one robot's LRV keys hold no
+    # -1, a walk whose vertex and order of keys recur after p moves
+    # repeats those p moves from then on.  Plain walks over the edge list,
+    # sharing no code with ``oracle``
+    rng = random.Random(20261023)
+    tours = 0
+    for case in range(200):
+        g, _, start, _, _ = long_search_case(case)
+        by_edge = case % 2 == 0
+        edges = sorted(tuple(sorted(e)) for e in g.edges)
+        nbrs = {v: [] for v in range(g.n)}
+        for eid, (u, v) in enumerate(edges):
+            nbrs[u].append((v, eid))
+            nbrs[v].append((u, eid))
+        vlast, elast = [-1] * g.n, [-1] * g.m
+        vlast[start] = 0
+        keys = elast if by_edge else vlast
+        pos, path, seen, p = start, [], {}, None
+        for t in range(1, 2_000):
+            scored = sorted((keys[e] if by_edge else keys[w], w, e)
+                            for w, e in nbrs[pos])
+            tied = [x for x in scored if x[0] == scored[0][0]]
+            _, pos, eid = rng.choice(tied)
+            vlast[pos] = elast[eid] = t
+            path.append(pos)
+            if p is None and -1 not in keys:
+                key = (pos, tuple(sorted(range(len(keys)),
+                                         key=keys.__getitem__)))
+                if key in seen:
+                    p, home = t - seen[key], t
+                seen.setdefault(key, t)
+            if p is not None and t == home + 3 * p:
+                break
+        if p is not None:
+            tours += 1
+            assert all(path[k] == path[k - p] for k in range(home, t))
+    assert tours >= 150
+
+
+def test_tour_lists_first_visits_and_the_longest_gap_around():
+    rng = random.Random(20261024)
+    for _ in range(500):
+        n = rng.randint(1, 6)
+        p = rng.choice((rng.randint(1, 12), rng.randint(250, 260)))
+        path = [rng.randrange(n) for _ in range(p)]
+        stored, firsts, cmax = oracle._tour(path, n)
+        offsets = {v: [j for j, x in enumerate(path, 1) if x == v]
+                   for v in range(n)}
+        # each gap to the next visit, the last one's across the tour's end
+        gaps = [b - a for at in offsets.values() if at
+                for a, b in zip(at, at[1:] + [at[0] + p])]
+        assert list(stored) == path
+        everywhere = all(offsets.values())
+        assert (firsts is not None) == everywhere
+        if everywhere:
+            assert list(firsts) == [at[0] for at in offsets.values()]
+        assert cmax == max(gaps)
+        # bytes while every offset and vertex fits in one
+        assert isinstance(stored, bytes) == (p <= 255)
+    # vertex 1 returns after 2 moves, and 0 and 2 after a tour of 4
+    assert oracle._tour([1, 0, 1, 2], 3) == (bytes([1, 0, 1, 2]),
+                                               bytes([2, 1, 4]), 4)
+
+
+def plain_tour_walk(path, first, vlast, peak, cutoff, horizon):
+    """``(peak, stale, vlast)`` where a walk of ``path`` over and over from
+    round ``first`` on stops: with no vertex last seen before ``cutoff``,
+    or at the horizon."""
+    vlast = list(vlast)
+    stale = {v for v, last in enumerate(vlast) if last < cutoff}
+    for k, t in enumerate(range(first + 1, horizon + 1)):
+        if not stale:
+            break
+        v = path[k % len(path)]
+        peak = max(peak, t - vlast[v])
+        vlast[v] = t
+        if t >= cutoff:
+            stale.discard(v)
+    return peak, len(stale), vlast
+
+
+def test_tour_peak_matches_a_walk_of_the_tour():
+    # the exactness of the closed form and of the stop at first + 2p: for
+    # any tour and any state before it, the peak where the walk stops, and
+    # vlast too where a vertex is stale at the horizon
+    rng = random.Random(20261025)
+    rules = set()
+    for _ in range(4000):
+        n = rng.randint(1, 6)
+        p = rng.randint(1, 12)
+        path = [rng.randrange(n) for _ in range(p)]
+        first = rng.randint(0, 30)
+        vlast = [rng.randint(0, first) for _ in range(n)]
+        cutoff = rng.randint(1, first + 3 * p + 5)
+        horizon = rng.randint(first, first + 4 * p + 5)
+        stale = sum(last < cutoff for last in vlast)
+        if not stale:
+            continue
+        peak = rng.randint(0, first + 1)
+        expected = plain_tour_walk(path, first, vlast, peak, cutoff, horizon)
+        tour = oracle._tour(path, n)
+        got = oracle._tour_peak(tour, first, vlast, peak, stale, cutoff,
+                                horizon)
+        assert got == expected[:2]
+        if got[1]:
+            assert vlast == expected[2]
+        if tour[1] is not None:
+            rules.add("closed" if first + 2 * p <= cutoff <= horizon - p + 1
+                      else "moves")
+    assert rules == {"closed", "moves"}
+
+
 def test_search_snapshot_memory_is_bounded():
     # every node of a RANDOM search on a degree-3 graph is a branch point,
     # so the path keeps up to a horizon's worth of vlast copies
@@ -670,19 +862,22 @@ def test_search_snapshot_memory_is_bounded():
     assert traced_peak < 3_000_000
 
 
-@pytest.mark.parametrize("policy,bound", [
-    (PolicyKind.LFV_E, 5_300_000),  # measured 3.77 MB
-    (PolicyKind.LRV_V, 270_000),    # measured 0.19 MB
-], ids=["lfv-e", "lrv-v"])
-def test_long_horizon_search_memory_is_bounded(policy, bound):
+@pytest.mark.parametrize("policy,horizon,budget,bound", [
+    (PolicyKind.LFV_E, 2_000, 5_000, 5_300_000),  # measured 3.81 MB
+    (PolicyKind.LRV_V, 2_000, 5_000, 270_000),    # measured 0.21 MB
+    # measured 0.32 MB; storing every tail's moves, 0.48 MB
+    (PolicyKind.LRV_V, 5_000, 200_000, 400_000),
+], ids=["lfv-e", "lrv-v", "lrv-v-h5000"])
+def test_long_horizon_search_memory_is_bounded(policy, horizon, budget,
+                                               bound):
     # each branch frame on the path copies vlast and the key list: on the
     # grid(10,10) dual lfv-e ties at hundreds of a path's 2,000 rounds and
-    # lrv-v at tens
+    # lrv-v at tens.  Only tails whose class recurs store their tour
     g = generators.grid_triangulation(10, 10).dual
     tracemalloc.start()
     try:
-        res = exhaustive_tiebreak_search(g, policy, 0, 2_000,
-                                         node_budget=5_000)
+        res = exhaustive_tiebreak_search(g, policy, 0, horizon,
+                                         node_budget=budget)
         traced_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
