@@ -634,8 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
         "worst peak refresh, and write the lexicographically smallest "
         "worst schedule as a witness that simulate --witness replays.  "
         "Memory grows with the horizon where ties are common: on the "
-        "grid(10,10) dual at budget 200k, lfv-e peaks at 8.9 MB at horizon "
-        "5,000 and 17.7 MB at 10,000, while lrv-v stays at 0.2 MB.")
+        "grid(10,10) dual at budget 200k, lfv-e peaks at 9.6 MB at horizon "
+        "5,000 and 18.6 MB at 10,000, while lrv-v stays at 0.3 MB.")
     p.add_argument("family", help="a generate family")
     p.add_argument("params", nargs="*", help="family parameters, e.g. k=3")
     p.add_argument("--policy", required=True)

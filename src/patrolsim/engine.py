@@ -5,7 +5,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 from typing import Callable, Iterator, Sequence
 
 from .graph import Graph
@@ -80,23 +80,6 @@ def _chunks(config: SimConfig) -> Iterator[Chunk]:
         robots, first = robots + len(placed), t
 
 
-def _columns(chunk: Chunk, moves: Sequence[int],
-             table: Sequence) -> list[list]:
-    """``chunk``'s arc ids ``moves``, looked up in ``table``, as one column
-    per robot: its entries round by round."""
-    moved = [table[a] for a in moves]
-    return [moved[rid::chunk[2]] for rid in range(chunk[2])]
-
-
-def _interleave(columns: list, rounds: int) -> list:
-    """Round after round, that round's entry of each of ``columns``,
-    filled one slice a column: no Python step runs per entry."""
-    laid = [None] * (len(columns) * rounds)
-    for i, column in enumerate(columns):
-        laid[i::len(columns)] = column
-    return laid
-
-
 def _arc_texts(graph: Graph) -> list[str]:
     """Each arc's ``events.csv`` text, ``"from,edge,to\n"``, by arc id."""
     return [f"{u},{e},{w}\n" for u, e, w in graph.arcs]
@@ -105,14 +88,17 @@ def _arc_texts(graph: Graph) -> list[str]:
 def _events_text(chunk: Chunk, moves: Sequence[int],
                  arc_text: Sequence[str]) -> str:
     """``chunk``'s ``events.csv`` rows, from its arc ids ``moves``.  A
-    row is three texts: ``"t,"``, ``"rid,"`` and the arc's text, laid out
-    by ``_interleave``."""
-    first, last, *_ = chunk
-    rounds = last - first + 1
+    row is three texts, ``"t,"``, ``"rid,"`` and the arc's text, laid out
+    one slice a column: no Python step runs per row."""
+    first, last, robots, _ = chunk
+    rounds, width = last - first + 1, 3 * robots
+    laid = [None] * (width * rounds)
     round_text = list(map("{},".format, range(first, last + 1)))
-    return "".join(_interleave([
-        text for rid, arcs in enumerate(_columns(chunk, moves, arc_text))
-        for text in (round_text, [f"{rid},"] * rounds, arcs)], rounds))
+    for rid in range(robots):
+        laid[3 * rid::width] = round_text
+    laid[1::3] = [f"{rid}," for rid in range(robots)] * rounds
+    laid[2::3] = [arc_text[a] for a in moves]
+    return "".join(laid)
 
 
 @dataclass
@@ -327,38 +313,23 @@ def run(config: SimConfig, sink: Sink | None = None) -> Trace:
                  edge_traversal_counts=tuple(state.ecnt))
 
 
-def meter_sink(meter: RefreshMeter, graph: Graph) -> Sink:
-    """A sink that feeds ``meter`` each chunk of a run on ``graph``: its
-    placed vertices, then each round's move heads and ``CLOSE``."""
-    heads = [w for _, _, w in graph.arcs]
-
-    def feed(chunk: Chunk, moves: Sequence[int]) -> None:
-        rounds = chunk[1] - chunk[0] + 1
-        meter.feed(chain(chunk[3], _interleave(
-            [*_columns(chunk, moves, heads), [RefreshMeter.CLOSE] * rounds],
-            rounds)))
-
-    return feed
-
-
 def run_series(config: SimConfig, after: int = 0) -> RefreshSeries:
-    """``refresh_series(run(config), after)`` from ``_walk`` with a meter
-    sink: the run holds one chunk of moves at a time."""
-    meter = RefreshMeter(config.graph.n, after)
-    _walk(config, meter_sink(meter, config.graph))
+    """``refresh_series(run(config), after)`` from ``_walk`` into a
+    ``RefreshMeter``: the run holds one chunk of moves at a time."""
+    meter = RefreshMeter(config.graph, after)
+    _walk(config, meter)
     return meter.series()
 
 
 class OutputSink:
-    """The sink ``simulate`` walks a run with.  Each chunk's visits are fed
-    to a ``RefreshMeter``, its rows are written to ``events``, and the
+    """The sink ``simulate`` walks a run with.  Each chunk is handed to a
+    ``RefreshMeter``, its rows are written to ``events``, and the
     ``metrics.csv`` rows of the rounds the meter closed are written to
     ``metrics``, so neither file's text is held whole."""
 
     def __init__(self, config: SimConfig, events, metrics):
         g = config.graph
-        self.meter = RefreshMeter(g.n)
-        self.feed = meter_sink(self.meter, g)
+        self.meter = RefreshMeter(g)
         self.arc_text = _arc_texts(g)
         self.fractions = coverage_fractions(g.n)
         self.events, self.metrics = events, metrics
@@ -368,7 +339,7 @@ class OutputSink:
     def __call__(self, chunk: Chunk, moves: Sequence[int]) -> None:
         meter = self.meter
         done = len(meter.round_max)
-        self.feed(chunk, moves)
+        meter(chunk, moves)
         self.events.write(_events_text(chunk, moves, self.arc_text))
         self.metrics.write(metrics_rows(done, meter.round_max[done:],
                                         meter.covered[done:],

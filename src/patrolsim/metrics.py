@@ -6,11 +6,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain, count
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
-    from .engine import Trace
+    from .engine import Chunk, Trace
+    from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -22,7 +23,8 @@ class RefreshSeries:
 
 
 class RefreshMeter:
-    """Every refresh metric of one run, kept online as its visits are fed in.
+    """Every refresh metric of one run on ``graph``, kept online as its
+    chunks are fed in: the meter is a sink of the run (``engine.Sink``).
 
     ``round_max[t]`` is the age of the stalest vertex after round t, where
     an unvisited vertex refreshes from round 0, and ``covered[t]`` counts
@@ -39,8 +41,10 @@ class RefreshMeter:
 
     CLOSE = -1  # fed in place of a vertex, ends the open round
 
-    def __init__(self, n: int, after: int = 0):
-        self.n, self.after = n, after
+    def __init__(self, graph: Graph, after: int = 0):
+        self.n = n = graph.n
+        self.after = after
+        self.head = [w for _, _, w in graph.arcs]  # by arc id
         self.last = [0] * n
         self.seen = [False] * n
         self.peak = [0] * n
@@ -48,6 +52,19 @@ class RefreshMeter:
         self.t = self.oldest = self.visited = 0   # t: the open round
         self.round_max: list[int] = []
         self.covered: list[int] = []
+
+    def __call__(self, chunk: Chunk, moves: Sequence[int]) -> None:
+        """Feed ``chunk`` of the run and its arc ids ``moves``: the vertices
+        it places, then round by round each robot's move head and
+        ``CLOSE``, laid out one slice a robot."""
+        first, last, robots, placed = chunk
+        width = robots + 1
+        laid = [self.CLOSE] * ((last - first + 1) * width)
+        head = self.head
+        heads = [head[a] for a in moves]
+        for rid in range(robots):
+            laid[rid::width] = heads[rid::robots]
+        self.feed(chain(placed, laid))
 
     def feed(self, visits: Iterable[int]) -> None:
         """Feed the vertices visited in the open round, in any order, and
@@ -92,9 +109,8 @@ class RefreshMeter:
 def refresh_series(trace: Trace, after: int = 0) -> RefreshSeries:
     """Every refresh metric of ``trace``: its run replayed a chunk at a
     time into a ``RefreshMeter``."""
-    from .engine import meter_sink  # engine imports this module
-    meter = RefreshMeter(trace.graph.n, after)
-    trace.replay(meter_sink(meter, trace.graph))
+    meter = RefreshMeter(trace.graph, after)
+    trace.replay(meter)
     return meter.series()
 
 

@@ -218,6 +218,12 @@ def multi_robot_steady_means() -> tuple[int, dict[PolicyKind, dict[int, float]]]
     return g.n, means
 
 
+def _decimals(least: int, holds) -> int:
+    """The fewest decimals, ``least`` or more, at which ``holds(decimals)``:
+    a FAIL clause printed at them reads true."""
+    return next((d for d in range(least, 17) if holds(d)), 17)
+
+
 def criterion_multi_robot_speedup() -> CheckResult:
     """6: on the 200-triangle grid dual, steady-state mean maximum refresh
     for r in {1, 3, 9} stays within 3*n/r for LRV_V and LFV_E, with
@@ -237,10 +243,13 @@ def criterion_multi_robot_speedup() -> CheckResult:
         for r, peak in peaks.items():
             bound = 3 * n / r
             if peak > bound:
-                failures.append(f"{pol.value} r={r}: {peak:.0f} > {bound:.0f}")
+                d = _decimals(0, lambda d: round(peak, d) > round(bound, d))
+                failures.append(
+                    f"{pol.value} r={r}: {peak:.{d}f} > {bound:.{d}f}")
         speedup = peaks[1] / peaks[9]
         if speedup < 4:
-            failures.append(f"{pol.value}: speedup {speedup:.1f} < 4")
+            d = _decimals(1, lambda d: round(speedup, d) < 4)
+            failures.append(f"{pol.value}: speedup {speedup:.{d}f} < 4")
         details.append(f"{pol.value} peaks " +
                        ", ".join(f"r={r}:{p:.0f}" for r, p in peaks.items()) +
                        f", speedup {speedup:.1f}")

@@ -81,7 +81,18 @@ def test_criterion_06_multi_robot_speedup():
      "FAIL multi-robot-speedup: lrv-v: speedup 3.0 < 4 | lrv-v peaks "
      "r=1:180, r=3:60, r=9:60, speedup 3.0; lfv-e peaks r=1:300, r=3:100, "
      "r=9:50, speedup 6.0"),
-], ids=["pass", "bound-fail", "speedup-fail"])
+    # a clause printed at its usual decimals would read false: more are
+    # shown
+    ({1: 180.0, 3: 60.0, 9: 30.0}, {1: 400.0, 3: 100.0, 9: 67.0},
+     "FAIL multi-robot-speedup: lfv-e r=9: 67.0 > 66.7 | lrv-v peaks "
+     "r=1:180, r=3:60, r=9:30, speedup 6.0; lfv-e peaks r=1:400, r=3:100, "
+     "r=9:67, speedup 6.0"),
+    ({1: 198.0, 3: 60.0, 9: 50.0}, {1: 300.0, 3: 100.0, 9: 50.0},
+     "FAIL multi-robot-speedup: lrv-v: speedup 3.96 < 4 | lrv-v peaks "
+     "r=1:198, r=3:60, r=9:50, speedup 4.0; lfv-e peaks r=1:300, r=3:100, "
+     "r=9:50, speedup 6.0"),
+], ids=["pass", "bound-fail", "speedup-fail", "bound-fail-decimals",
+        "speedup-fail-decimals"])
 def test_criterion_06_verdict_line(monkeypatch, lrv, lfv, line):
     # the verdict that `verify theorems` prints, on stubbed measurements
     monkeypatch.setattr(verify, "multi_robot_steady_means", lambda: (

@@ -103,6 +103,13 @@ def no_work(*args, **kwargs):
     (["search", "four-cycle-chain", "k=2", "--policy", "lrv-v",
       "--horizon", "10", "--budget", "-1", "--out", "{tmp}/w.txt"],
      "node_budget must be >= 0"),
+    (["search", "path", "n=1", "--policy", "lrv-v", "--horizon", "10",
+      "--out", "{tmp}/w.txt"], "start vertex 0 is isolated"),
+    (["simulate", "--scenario", "{tmp}/s.json", "--witness",
+      "{tmp}/missing.txt", "--out-dir", "{tmp}/o"],
+     "witness file: [Errno 2] No such file or directory"),
+    (["sweep", "--family", "path", "--sweep", "n=4..5", "--policies", ",",
+      "--horizon", "10", "--out-dir", "{tmp}/o"], "empty policy list"),
 ], ids=["generate-cycle-n2", "generate-flower-delta1",
         "generate-missing-dir", "generate-grid-missing-dir",
         "generate-onto-dir", "simulate-out-dir-file",
@@ -112,7 +119,8 @@ def no_work(*args, **kwargs):
         "search-unknown-family", "search-param-without-value",
         "search-missing-dir", "search-unknown-policy",
         "search-start-out-of-range", "search-negative-horizon",
-        "search-negative-budget"])
+        "search-negative-budget", "search-isolated-start",
+        "simulate-missing-witness", "sweep-no-policy"])
 def test_bad_family_params_and_output_paths_exit_2(tmp_path, monkeypatch,
                                                    capsys, argv, message):
     # an output that cannot be written is found before any run
@@ -364,13 +372,21 @@ def test_simulate_outputs_match_golden_hashes(tmp_path, policy, kind):
      "not lowest_id"),
     ({"tiebreak": {"kind": "seeded_random", "seed": None}},
      "scenario: tiebreak.seed must be an integer, got None"),
+    ({"policy": "lrv-x"}, "scenario: policy: unknown policy 'lrv-x'"),
+    ({"robots": {"starts": [0], "arrivals": [[1, 99]]}},
+     "scenario: arrival vertex 99 out of range"),
+    ({"graph": {"family": "torus"}}, "scenario: graph: unknown family"),
+    ({"graph": {}}, "scenario: graph needs 'family' or 'file'"),
+    ({"outputs": {"events": "a\0b"}},
+     "scenario: outputs.events holds a NUL character"),
 ], ids=["start-string", "start-bool", "arrival-short", "policy-int",
         "horizon-string", "horizon-bool", "seed-float", "script-empty",
         "isolated-start", "param-string", "script-string", "output-int",
         "robots-list", "tiebreak-string-unknown", "tiebreak-kind-unknown",
         "graph-file-and-family", "graph-file-and-params",
         "script-on-lowest-id", "seed-on-scripted", "seed-on-lowest-id",
-        "tiebreak-seed-null"])
+        "tiebreak-seed-null", "policy-unknown", "arrival-out-of-range",
+        "family-unknown", "graph-empty", "output-nul"])
 def test_simulate_bad_scenario_exits_2(tmp_path, capsys, overrides, message):
     scenario = write_scenario(tmp_path / "s.json", **overrides)
     assert main(["simulate", "--scenario", str(scenario),
@@ -852,6 +868,21 @@ def subprocess_env() -> dict:
     src = str(Path(patrolsim.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("{", "scenario: invalid JSON: Expecting property name"),
+    ("[1]", "scenario: top level must be an object"),
+    ('{"graph": {}}', "scenario: missing key policy"),
+], ids=["invalid", "not-an-object", "missing-key"])
+def test_simulate_malformed_scenario_text_exits_2(tmp_path, capsys, text,
+                                                  message):
+    (tmp_path / "s.json").write_text(text)
+    assert main(["simulate", "--scenario", str(tmp_path / "s.json"),
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_deeply_nested_scenario_exits_2(tmp_path):

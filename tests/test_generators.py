@@ -105,3 +105,10 @@ def test_generator_bad_params():
         flower_barrier(1, 4)
     with pytest.raises(ValueError):
         grid_triangulation(0, 3)
+    with pytest.raises(ValueError, match="four_cycle_chain requires k >= 1"):
+        four_cycle_chain(0)
+    with pytest.raises(ValueError,
+                       match="diamond_gadget_chain requires k >= 1"):
+        diamond_gadget_chain(0)
+    with pytest.raises(ValueError, match="requires stair_len >= 1"):
+        flower_barrier(3, 0)

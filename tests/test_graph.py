@@ -85,6 +85,10 @@ def test_diameter_examples():
         assert diameter(g) == bfs_all_pairs_diameter(g)
 
 
+def test_diameter_of_no_vertices_is_0():
+    assert diameter(Graph(0, [])) == 0
+
+
 def test_diameter_disconnected():
     g = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraphError):
@@ -95,6 +99,10 @@ def test_validate_ok_and_violations():
     assert cycle(4).validate(require_max_deg3=True) == []
     assert any("self-loop" in v for v in check_edge_list(3, [(0, 0), (1, 2)]))
     assert any("parallel" in v for v in check_edge_list(3, [(0, 1), (1, 0)]))
+    assert check_edge_list(2, [(0, 5), (0, 1)]) == [
+        "edge (0,5) out of range for n=2"]
+    assert Graph(4, [(0, 1), (2, 3)]).validate() == [
+        "vertex 2 unreachable from 0"]
     bad = check_edge_list(diamond_gadget_chain(2).n,
                           diamond_gadget_chain(2).edges,
                           require_max_deg3=True)
@@ -110,6 +118,15 @@ def test_roundtrip_identity():
     for g in (cycle(4), path_dual(7), four_cycle_chain(3)):
         assert parse_graph(dumps_graph(g)) == g
         assert parse_graph(dumps_graph(g)).meta == g.meta
+    assert parse_graph("2 1\n\n0 1\n\n") == Graph(2, [(0, 1)])
+
+
+def test_graphs_compare_and_hash_by_vertices_and_edges():
+    g = Graph(3, [(0, 1), (1, 2)], meta={"name": "p3"})
+    assert g == Graph(3, [(0, 1), (1, 2)]) != Graph(3, [(0, 1)])
+    assert hash(g) == hash(Graph(3, [(0, 1), (1, 2)]))
+    assert g != (3, g.edges)
+    assert repr(g) == "Graph(n=3, m=2, meta={'name': 'p3'})"
 
 
 def test_parse_errors():
@@ -135,10 +152,11 @@ PARSE_ERRORS = [
     ("3 1\n0 1 2\n", 2, "expected 'u v', got '0 1 2'"),
     ("3 1\n0 one\n", 2, "expected integers, got '0 one'"),
     ("3 1\n2 1\n", 2, "edge (2,1) not in u < v form"),
+    ("3 2\n1 2\n0 1\n", 3, "edge (0,1) out of order"),
 ]
 PARSE_ERROR_IDS = ["empty", "header-not-int", "header-negative",
                    "bad-meta", "extra-edge", "bad-edge-line", "edge-not-int",
-                   "edge-reversed"]
+                   "edge-reversed", "edge-out-of-order"]
 
 
 @pytest.mark.parametrize("text,line_no,message", PARSE_ERRORS,

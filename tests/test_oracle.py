@@ -69,6 +69,34 @@ def test_search_input_validation():
         exhaustive_tiebreak_search(cycle(4), PolicyKind.LRV_V, 9, 10)
 
 
+@pytest.mark.parametrize("graph,tiebreak,error", [
+    (cycle(4), TieBreakSpec.scripted([]), "script exhausted"),
+    (cycle(4), TieBreakSpec.scripted([2]), "script choice out of range"),
+    (path_dual(1), TieBreakSpec.lowest_id(), "stranded at isolated vertex"),
+], ids=["script-exhausted", "script-choice-out-of-range", "isolated"])
+def test_reference_run_fails_where_the_engine_does(graph, tiebreak, error):
+    # round 1 from vertex 0: a tie of two the script cannot answer, or no
+    # neighbor at all
+    cfg = SimConfig(graph=graph, policy=PolicyKind.LRV_V, starts=(0,),
+                    horizon=1, tiebreak=tiebreak)
+    with pytest.raises(ValueError):
+        run(cfg)
+    with pytest.raises(ValueError, match=error):
+        reference_run(cfg)
+
+
+def test_diverging_reference_is_a_fail_line(monkeypatch):
+    cfg = SimConfig(graph=cycle(4), policy=PolicyKind.LRV_V, starts=(0,),
+                    horizon=10)
+    monkeypatch.setattr(verify, "_differential_configs",
+                        lambda: iter([(7, cfg)]))
+    monkeypatch.setattr(verify, "reference_run", lambda cfg: run(
+        dataclasses.replace(cfg, starts=(1,))))
+    assert verify.criterion_differential().line() == (
+        "FAIL differential: case 7: engine and reference diverge (n=4, "
+        "policy=lrv-v, horizon=10)")
+
+
 def assert_engine_matches_reference(cfg):
     trace = run(cfg)
     ref = reference_run(cfg)

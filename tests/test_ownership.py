@@ -16,6 +16,13 @@ def test_single_square_owners():
     assert verify_theorem1(t, result) == []
 
 
+def test_theorem1_flags_owners_not_adjacent():
+    # corners 1 and 2 of the square lie off the diagonal the two triangles
+    # share, and no primal edge joins them
+    t = grid_triangulation(1, 1)
+    assert verify_theorem1(t, OwnerMap(triangle_owner=(1, 2))) == [(0, 1)]
+
+
 def test_owner_is_a_corner():
     t = grid_triangulation(4, 3)
     result = assign_owners(t)

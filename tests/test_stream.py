@@ -4,6 +4,7 @@ the files ``simulate`` writes against ``Trace``'s own outputs."""
 import contextlib
 import io
 import json
+import os
 import random
 import tempfile
 import tracemalloc
@@ -74,7 +75,7 @@ def test_meter_fed_in_pieces_equals_one_pass(seed, pol_idx, horizon, robots,
         rng.shuffle(visits)
         stream += visits + [RefreshMeter.CLOSE]
     cuts = sorted(rng.randrange(len(stream) + 1) for _ in range(3))
-    meter = RefreshMeter(cfg.graph.n, after)
+    meter = RefreshMeter(cfg.graph, after)
     for lo, hi in zip([0] + cuts, cuts + [len(stream)]):
         meter.feed(stream[lo:hi])
     assert meter.series() == refresh_series(trace, after)
@@ -170,6 +171,48 @@ def seams_config(w, policy, kind, starts, arrivals, horizon) -> SimConfig:
     return SimConfig(graph=grid_triangulation(w, w).dual, policy=policy,
                      starts=starts, horizon=horizon,
                      tiebreak=TIEBREAKS[kind][1], arrivals=arrivals)
+
+
+class Exited(Exception):
+    """Raised in place of ``os._exit``, so a writer child returns here."""
+
+
+@pytest.mark.parametrize("short", [False, True], ids=["whole", "cut"])
+def test_writer_child_runs_in_process(tmp_path, monkeypatch, short):
+    # the forked writer's body in this process: the recorded run's arc ids
+    # sit in a pipe (13,204 bytes, less than a pipe holds), the write end
+    # is among the ends the child closes, and a source one byte short
+    # ends the relay with EOFError, which the child reports and survives
+    cfg = SimConfig(graph=grid_triangulation(3, 3).dual,
+                    policy=PolicyKind.LRV_E, starts=(0, 4, 8), horizon=900,
+                    tiebreak=TieBreakSpec.seeded_random(5),
+                    arrivals=((300, 2),))
+    trace = run(cfg)
+    data = trace.moves.tobytes()
+    arcs_in, arcs_out = os.pipe()
+    report_in, report_out = os.pipe()
+    os.write(arcs_out, data[:-1] if short else data)
+
+    def exit_(code):
+        raise Exited(code)
+
+    monkeypatch.setattr(os, "_exit", exit_)
+    with open(tmp_path / "events.csv", "w") as events, \
+            open(tmp_path / "metrics.csv", "w") as metrics:
+        with pytest.raises(Exited) as exited:
+            cli._writer_child(cfg, {"events": events, "metrics": metrics},
+                              arcs_in, report_out, (arcs_out,))
+    os.close(report_out)
+    with open(report_in, "rb") as pipe:
+        report = json.loads(pipe.read())
+    assert exited.value.args == (0,)
+    if short:
+        assert report == ["EOFError", "the run ended before its horizon"]
+        return
+    series = refresh_series(trace)
+    assert report == ["ok", max(series.vertex_peak), series.coverage_time]
+    assert (tmp_path / "events.csv").read_text() == trace.events_csv()
+    assert (tmp_path / "metrics.csv").read_text() == metrics_csv(series)
 
 
 @pytest.mark.parametrize("chunk,w,policy,kind,starts,arrivals,horizon",
