@@ -19,7 +19,8 @@ import sys
 from pathlib import Path
 
 from . import generators
-from .engine import OutputSink, SimConfig, relay, run, run_series, send
+from .engine import (Child, OutputSink, SimConfig, WorkersError, _workers,
+                     forkable, relay, report, run, run_series, send)
 from .graph import diameter, dumps_graph, load_graph
 from .metrics import fit_growth
 from .oracle import exhaustive_tiebreak_search
@@ -316,10 +317,9 @@ def cmd_simulate(args) -> int:
     """Run the scenario and write ``events.csv``, ``metrics.csv`` and
     ``summary.json``.  The run is one ``run`` whose sink is an
     ``OutputSink``: in a forked writer process fed through a pipe
-    (``_run_forked``) when ``_workers()`` is above 1, ``os.fork`` exists
-    and no other thread runs, and in this process otherwise.  The outputs
-    and ``PATROLSIM_WORKERS`` are checked before anything is written or
-    forked."""
+    (``_run_forked``) when ``engine.forkable()``, and in this process
+    otherwise.  The outputs and ``PATROLSIM_WORKERS`` are checked before
+    anything is written or forked."""
     config, outputs, seed = load_scenario(args.scenario, witness=args.witness)
     # invalid overrides, an isolated start vertex and a script that runs
     # out or points outside a tied set are input errors, not failures
@@ -332,9 +332,7 @@ def cmd_simulate(args) -> int:
              for name, default in (("events", "events.csv"),
                                    ("metrics", "metrics.csv"),
                                    ("summary", "summary.json"))}
-    threading = sys.modules.get("threading")
-    forked = (_workers() > 1 and hasattr(os, "fork")
-              and (threading is None or threading.active_count() == 1))
+    forked = forkable()
     try:
         if args.policy:  # --policy '' keeps the scenario's policy
             overrides["policy"] = PolicyKind.parse(args.policy)
@@ -359,43 +357,31 @@ def cmd_simulate(args) -> int:
 
 def _run_forked(config: SimConfig, files: dict) -> tuple:
     """``run(config)`` in this process, with an ``OutputSink`` on
-    ``files["events"]`` and ``files["metrics"]`` in a forked child, as
-    ``(trace, peak, coverage_time)``.  The run's chunks cross a pipe from
-    ``engine.send`` to ``engine.relay``.  Whatever fails here, the child
-    is killed and reaped before this returns, so the caller can remove the
-    files."""
-    import signal
-
-    ends, pid = [], 0  # the pipe ends open here, the child's pid
+    ``files["events"]`` and ``files["metrics"]`` in a forked
+    ``engine.Child``, as ``(trace, peak, coverage_time)``.  The run's
+    chunks cross a pipe from ``engine.send`` to ``engine.relay``.  Whatever
+    fails here, the child is killed and reaped before this returns, so the
+    caller can remove the files."""
+    ends = []  # the arc pipe's ends open here
     try:
         ends += os.pipe()
-        ends += os.pipe()
-        arcs_in, arcs_out, report_in, report_out = ends
-        pid = os.fork()
-        if pid == 0:
-            _writer_child(config, files, arcs_in, report_out,
-                          (arcs_out, report_in))
-        for fd in (arcs_in, report_out):
-            ends.remove(fd)
-            os.close(fd)
-        try:
-            trace = run(config, lambda chunk, moves: send(arcs_out, moves))
-        except BrokenPipeError:  # the child stopped: its report says why
-            trace = None
-        ends.remove(arcs_out)
-        os.close(arcs_out)
-        report = b"".join(iter(lambda: os.read(report_in, 1 << 16), b""))
-        status = os.waitpid(pid, 0)[1]
-        pid = 0
+        arcs_in, arcs_out = ends
+        with Child() as child:
+            if not child.pid:
+                _writer_child(config, files, arcs_in, child.fd, (arcs_out,))
+            ends.remove(arcs_in)
+            os.close(arcs_in)
+            try:
+                trace = run(config,
+                            lambda chunk, moves: send(arcs_out, moves))
+            except BrokenPipeError:  # the child stopped: its report says why
+                trace = None
+            ends.remove(arcs_out)
+            os.close(arcs_out)
+            kind, *result = child.result()
     finally:
         for fd in ends:
             os.close(fd)
-        if pid:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(status)  # -N: killed by signal N
-    kind, *result = json.loads(report) if report else (
-        ("exit code", code) if code >= 0 else ("signal", -code))
     if kind == "ok":  # the child read every chunk: the run ended
         return (trace, *result)
     if kind == "OSError":
@@ -408,28 +394,20 @@ def _writer_child(config: SimConfig, files: dict, arcs_in: int,
                   report_out: int, others: tuple) -> None:
     """The child of ``_run_forked``.  It closes the parent's pipe ends
     ``others``, relays the chunks read from ``arcs_in`` to an
-    ``OutputSink``, closes its two files and writes ``["ok", peak,
-    coverage_time]`` or ``[error type, message]`` to ``report_out``.  Every
-    path leaves through ``os._exit``: the child never returns into its
-    caller, prints no traceback and flushes no buffer it inherited."""
-    code = 1
-    try:
+    ``OutputSink``, closes its two files and reports ``[peak,
+    coverage_time]`` to ``report_out`` through ``engine.report``, which
+    never returns."""
+    def write() -> list:
         for fd in others:
             os.close(fd)
-        try:
-            with open(arcs_in, "rb") as pipe:
-                sink = OutputSink(config, files["events"], files["metrics"])
-                relay(config, sink, pipe)
-            files["events"].close()
-            files["metrics"].close()
-            report = ["ok", *sink.result()]
-        except Exception as exc:  # the parent raises it
-            report = ["OSError" if isinstance(exc, OSError)
-                      else type(exc).__name__, str(exc)]
-        os.write(report_out, json.dumps(report).encode())
-        code = 0
-    finally:
-        os._exit(code)
+        with open(arcs_in, "rb") as pipe:
+            sink = OutputSink(config, files["events"], files["metrics"])
+            relay(config, sink, pipe)
+        files["events"].close()
+        files["metrics"].close()
+        return [*sink.result()]
+
+    report(report_out, write)
 
 
 def _parse_range(text: str, flag: str) -> list[int]:
@@ -442,23 +420,6 @@ def _parse_range(text: str, flag: str) -> list[int]:
         return [int(tok) for tok in text.split(",")]
     except ValueError:
         raise CliError(f"{flag} expects lo..hi or a,b,c, got {text!r}")
-
-
-def _workers() -> int:
-    """``min(PATROLSIM_WORKERS, CPUs)``: the processes a command may run
-    in.  PATROLSIM_WORKERS defaults to the CPU count and must be an integer
-    of at least 1."""
-    cpus = os.cpu_count() or 1
-    setting = os.environ.get("PATROLSIM_WORKERS")
-    try:
-        wanted = cpus if setting is None else int(setting)
-    except ValueError:
-        raise CliError(f"PATROLSIM_WORKERS must be an integer, "
-                       f"got {setting!r}") from None
-    if wanted < 1:
-        raise CliError(f"PATROLSIM_WORKERS must be at least 1, "
-                       f"got {setting!r}")
-    return min(wanted, cpus)
 
 
 def _map(fn, jobs) -> list:
@@ -635,7 +596,9 @@ def build_parser() -> argparse.ArgumentParser:
         "worst schedule as a witness that simulate --witness replays.  "
         "Memory grows with the horizon where ties are common: on the "
         "grid(10,10) dual at budget 200k, lfv-e peaks at 9.6 MB at horizon "
-        "5,000 and 18.6 MB at 10,000, while lrv-v stays at 0.3 MB.")
+        "5,000 and 18.6 MB at 10,000, while lrv-v stays at 0.3 MB.  A "
+        "search that pushes enough branch frames splits its walk across two "
+        "processes, with the same result, unless PATROLSIM_WORKERS=1.")
     p.add_argument("family", help="a generate family")
     p.add_argument("params", nargs="*", help="family parameters, e.g. k=3")
     p.add_argument("--policy", required=True)
@@ -664,9 +627,10 @@ def main(argv=None) -> int:
                 raise CliError(f"{args.command}: {name} holds a NUL "
                                "character")
         return args.func(args)
-    except CliError as exc:
+    except (CliError, WorkersError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        # a bad PATROLSIM_WORKERS is a usage error
+        return getattr(exc, "code", USAGE_ERROR)
 
 
 if __name__ == "__main__":

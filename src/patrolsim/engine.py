@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import sys
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NoReturn, Sequence
 
 from .graph import Graph
 from .metrics import (METRICS_HEADER, RefreshMeter, RefreshSeries,
@@ -286,10 +288,108 @@ def relay(config: SimConfig, sink: Sink, source) -> None:
 def send(fd: int, moves: Sequence[int]) -> None:
     """Write ``moves``, a chunk's arc ids in the ``array('i')`` that ``run``
     hands its sink, to the file descriptor ``fd``, for ``relay`` to read."""
-    import os
     data = memoryview(moves).cast("B")
     while data:
         data = data[os.write(fd, data):]
+
+
+class WorkersError(Exception):
+    """``PATROLSIM_WORKERS`` names no count of processes."""
+
+
+def _workers() -> int:
+    """``min(PATROLSIM_WORKERS, CPUs)``: the processes a command may run
+    in.  PATROLSIM_WORKERS defaults to the CPU count and must be an integer
+    of at least 1, or ``WorkersError`` is raised."""
+    cpus = os.cpu_count() or 1
+    setting = os.environ.get("PATROLSIM_WORKERS")
+    try:
+        wanted = cpus if setting is None else int(setting)
+    except ValueError:
+        raise WorkersError(f"PATROLSIM_WORKERS must be an integer, "
+                           f"got {setting!r}") from None
+    if wanted < 1:
+        raise WorkersError(f"PATROLSIM_WORKERS must be at least 1, "
+                           f"got {setting!r}")
+    return min(wanted, cpus)
+
+
+def forkable() -> bool:
+    """Whether work may go to a forked second process: ``_workers()`` is
+    above 1, ``os.fork`` exists and no other thread runs, whose locks a
+    child could inherit held."""
+    threading = sys.modules.get("threading")
+    return (_workers() > 1 and hasattr(os, "fork")
+            and (threading is None or threading.active_count() == 1))
+
+
+class Child:
+    """A forked process that reports once to its parent through a pipe.
+
+    ``Child()`` forks.  In the child ``pid`` is 0 and ``fd`` the pipe's
+    write end, for ``report``.  In the parent ``fd`` is the read end, and
+    ``result()`` reads the report and reaps the child.  Leaving the
+    ``with`` block of a child not reaped kills and reaps it, so whatever
+    raises in the parent, no process outlives the block."""
+
+    def __init__(self):
+        read_end, write_end = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        # the parent reads and the child writes, in the same statements
+        self.fd, other = ((read_end, write_end) if self.pid
+                          else (write_end, read_end))
+        os.close(other)
+
+    def __enter__(self) -> Child:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.pid:
+            import signal
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = 0
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+
+    def result(self) -> list:
+        """The child's report, read to its end, once the child has closed
+        the pipe and been reaped: ``["ok", ...]`` or ``[error type,
+        message]`` as ``report`` writes it, or ``["exit code", n]`` or
+        ``["signal", n]`` for a child that ended without one."""
+        with open(self.fd, "rb") as pipe:
+            self.fd = None
+            data = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = 0
+        if data:
+            return json.loads(data)
+        return ["exit code", code] if code >= 0 else ["signal", -code]
+
+
+def report(fd: int, work: Callable[[], list]) -> NoReturn:
+    """The end of a forked child: ``["ok", *work()]``, or ``[error type,
+    message]`` if ``work`` raises, is written to ``fd`` for the parent's
+    ``Child.result``.  Every path leaves through ``os._exit``: the child
+    never returns into its caller, prints no traceback and flushes no
+    buffer it inherited."""
+    code = 1
+    try:
+        try:
+            done = ["ok", *work()]
+        except Exception as exc:  # the parent raises it
+            done = ["OSError" if isinstance(exc, OSError)
+                    else type(exc).__name__, str(exc)]
+        send(fd, json.dumps(done).encode())
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def run(config: SimConfig, sink: Sink | None = None) -> Trace:

@@ -7,13 +7,17 @@ import random
 from dataclasses import dataclass
 from operator import sub
 
-from .engine import SimConfig
+from .engine import Child, SimConfig, forkable, report
 from .graph import Graph
 from .policies import PolicyKind, decision_keys, tied_entries
 
 
 # A smaller subtree costs less to walk again than to store.
 MEMO_MIN_NODES = 1024
+# A walk that pushes fewer branch frames takes less time than a fork: an
+# LRV walk pushes one every 16-27 us, and a fork's round trip takes 1.7 ms
+# in a 16 MB process.
+SPLIT_MIN_FRAMES = 64
 
 
 @dataclass(frozen=True)
@@ -137,6 +141,23 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
     ``vlast``, the peak, the keys and ``stale``, and the tail goes on at
     the leaf once no vertex is stale.  Node order, node counts, the budget
     check and the result stay those of the full walk.
+
+    Where ``engine.forkable()``, the walk splits once, when it pushes its
+    ``SPLIT_MIN_FRAMES``-th branch frame: a forked ``engine.Child`` walks
+    every later child of the shallowest frame that has one, and this
+    process only the subtree it is in.  Each keeps its copy of the tables,
+    and the child starts from the best at the split.  The split is exact.
+    The child's nodes follow the parent's in the full walk, so its node
+    numbers shift by the parent's nodes past the split, and its node count
+    by the same.  Counts do not depend on the best: a stored count equals
+    the walk it replaces, so tables that differ change only what is walked.
+    The child reports one entry per rise of its best, its node number,
+    peak and witness.  Its lower starting best only makes it walk more:
+    it rises wherever the full walk rises, at the same leaf to the same
+    peak, and may rise more often below the full walk's best.  So the
+    parent keeps the entries at or under the budget that beat its own final
+    best, in order.  A budget that runs out in the parent's part ends the
+    search there, and the child is killed.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -146,6 +167,74 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
         raise ValueError(f"start vertex {start} out of range")
     if g.degree(start) == 0 and horizon > 0:
         raise ValueError(f"start vertex {start} is isolated")
+    walk = _tree_walk(g, policy, start, horizon, node_budget,
+                      SPLIT_MIN_FRAMES if forkable() else 0)
+    walked = _resume(walk, None)
+    if walked is not None:  # the walk ended before its split
+        return walked[0]
+    with Child() as child:
+        if not child.pid:
+            report(child.fd, lambda: _report(_resume(walk, True)))
+        res, at, _ = _resume(walk, False)
+        if not res.complete:  # the budget ran out in the parent's part
+            return res
+        kind, *reported = child.result()
+    if kind != "ok":
+        raise RuntimeError(f"search: the second process failed: {kind} "
+                           f"{reported[0]}")
+    return _merge(res, at, *reported, node_budget)
+
+
+def _resume(walk, child: bool | None):
+    """Send ``child`` to the ``_tree_walk`` generator ``walk`` (None to
+    start it): the walk's ``(result, split node, rises)`` once it ends, or
+    None where it stops at its split."""
+    try:
+        walk.send(child)
+    except StopIteration as end:
+        return end.value
+    return None
+
+
+def _report(walked: tuple) -> list:
+    """What the child of a split walk tells its parent: its node count past
+    the split and its rises, ``[node, peak, witness]`` each."""
+    res, at, rises = walked
+    return [res.nodes_explored - at, rises]
+
+
+def _merge(res: WorstCaseResult, at: int, past: int, rises: list,
+           budget: int) -> WorstCaseResult:
+    """The one-process result of a walk split at node ``at``, from the
+    parent's part ``res``, walked to its end within the budget, and the
+    child's report.  The child's nodes come after the parent's in the
+    one-process walk, so its node numbers shift by the parent's nodes past
+    the split; a rise is kept at or under the budget, and where it beats
+    the best so far.  The rises before the split, which the parent made
+    too, beat none."""
+    peak, witness = res.peak, res.witness
+    shift = res.nodes_explored - at
+    for node, rise, chosen in rises:
+        if node + shift > budget:
+            break
+        if rise > peak:
+            peak, witness = rise, tuple(chosen)
+    nodes = res.nodes_explored + past
+    if nodes > budget:
+        return WorstCaseResult(peak=peak, witness=witness, complete=False,
+                               nodes_explored=budget + 1)
+    return WorstCaseResult(peak=peak, witness=witness, complete=True,
+                           nodes_explored=nodes)
+
+
+def _tree_walk(g: Graph, policy: PolicyKind, start: int, horizon: int,
+               node_budget: int, split_frames: int):
+    """The walk of ``exhaustive_tiebreak_search``, a generator returning
+    ``(result, split node, rises)``.  Where it pushes its
+    ``split_frames``-th branch frame it yields, and the value sent back
+    says which part it walks on: True the child's, False the parent's.
+    ``rises`` lists ``(node, peak, witness)`` at each rise of the best;
+    the split node is None where the walk never split."""
     vlast, vcnt = [-1] * g.n, [0] * g.n
     vlast[start] = 0
     vcnt[start] = 1
@@ -184,6 +273,7 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
     # the last -1
     was = 0
     pos, t, peak = start, 1, 0
+    pushed, split_at, rises = 0, None, []
     while True:
         # visit the node (pos, t, peak)
         nodes += 1
@@ -198,6 +288,7 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
                 trailing = horizon - max(min(vlast), 0)
                 best_peak = peak if peak > trailing or not stale else trailing
                 best_witness = tuple(f[1] - 1 for f in stack)
+                rises.append((nodes, best_peak, best_witness))
                 # the leaf backtracks, so only the frames need a recount
                 cutoff = horizon - best_peak
                 for f in stack:
@@ -222,6 +313,23 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
                 else:
                     stack.append([tied, 0, at, peak, stale, vlast[:],
                                   keys[:] if own_keys else None, nodes])
+                    pushed += 1
+                    if pushed == split_frames:
+                        split_at = nodes
+                        # the shallowest frame with a child after the one
+                        # on the path, which for the new frame is its first
+                        depth, frame = next(
+                            (depth, f) for depth, f in enumerate(stack)
+                            if f[1] < len(f[0]))
+                        taken = max(frame[1], 1)
+                        # either part stores a partial count for that frame
+                        # and the ones above it when it pops them, and then
+                        # its walk ends: no lookup reads those counts
+                        if (yield):  # the child: the frame's later children
+                            frame[1] = taken
+                            del stack[depth + 1:]
+                        else:  # the parent: the subtree on the path
+                            frame[0] = frame[0][:taken]
             # backtrack to the deepest frame with a child left
             while stack:
                 frame = stack[-1]
@@ -301,7 +409,8 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
             t = horizon
         t += 1
     return WorstCaseResult(peak=best_peak, witness=best_witness,
-                           complete=complete, nodes_explored=nodes)
+                           complete=complete, nodes_explored=nodes), \
+        split_at, rises
 
 
 @dataclass(frozen=True)

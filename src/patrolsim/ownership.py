@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 from .triangulation import Triangulation
 
+# Candidate tries before assign_owners gives up.
+ASSIGN_BUDGET = 200_000
+
 
 @dataclass(frozen=True)
 class OwnerMap:
@@ -36,10 +39,9 @@ def assign_owners(t: Triangulation) -> OwnerMap | OwnershipInfeasible:
     triangle's corners, ordered to prefer (1) corners lying on a primal
     edge shared with some dual neighbor, (2) corners adjacent (not equal)
     to every already-assigned neighbor's owner, (3) lowest primal id.
-    On grids this succeeds without backtracking; if the budget runs out an
-    infeasibility report is returned instead of raising.
+    On grids this succeeds without backtracking; if ``ASSIGN_BUDGET`` runs
+    out an infeasibility report is returned instead of raising.
     """
-    budget = 200_000  # candidate tries
     ntri = len(t.triangles)
     dual = t.dual
     shared_corners = [set() for _ in range(ntri)]
@@ -82,7 +84,7 @@ def assign_owners(t: Triangulation) -> OwnerMap | OwnershipInfeasible:
             continue
         frame[1] = idx + 1
         nodes += 1
-        if nodes > budget:
+        if nodes > ASSIGN_BUDGET:
             stack.pop()
             continue
         if feasible(ti, cands[idx]):
@@ -94,7 +96,8 @@ def assign_owners(t: Triangulation) -> OwnerMap | OwnershipInfeasible:
 
     if found:
         return OwnerMap(triangle_owner=tuple(owner))
-    return OwnershipInfeasible("node budget exhausted" if nodes > budget
+    return OwnershipInfeasible("node budget exhausted"
+                               if nodes > ASSIGN_BUDGET
                                else "no feasible assignment exists")
 
 

@@ -989,7 +989,9 @@ WORKERS_ARGV = pytest.mark.parametrize("argv", [
     ["sweep", "--family", "path", "--sweep", "n=4..5", "--policies",
      "lrv-v", "--horizon", "10"],
     ["simulate", "--scenario", "s.json"],
-], ids=["verify", "sweep", "simulate"])
+    ["search", "four-cycle-chain", "k=2", "--policy", "lrv-v", "--horizon",
+     "20", "--out", "w.txt"],
+], ids=["verify", "sweep", "simulate", "search"])
 
 
 def no_fork():
@@ -1008,7 +1010,7 @@ def test_workers_not_an_integer_exits_2(tmp_path, monkeypatch, capsys, argv):
     assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
 
 
-@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("value", ["0", "-1", "-3"])
 @WORKERS_ARGV
 def test_workers_below_1_exits_2(tmp_path, monkeypatch, capsys, argv, value):
     # a count below 1 used to run every job in this process, and simulate

@@ -1,6 +1,11 @@
 import dataclasses
+import itertools
+import json
+import os
 import random
 import re
+import signal
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -18,6 +23,7 @@ from patrolsim.metrics import vertex_peak_refresh
 from patrolsim.oracle import exhaustive_tiebreak_search, reference_run
 from patrolsim.policies import (PolicyKind, TieBreakSpec, decision_keys,
                                 tied_entries)
+from test_cli import assert_no_child_left
 
 
 def test_cycle4_worst_case_is_tour():
@@ -382,8 +388,11 @@ def test_search_matches_naive_recursion(g, policy, data, horizon, budget):
             scans.append(None)
             return min(values)
 
+        # the scans of one whole walk: a split walk makes some of them in
+        # a forked child, which this count does not see
         with mock.patch.object(oracle, "min", counted_min, create=True), \
-                mock.patch.object(oracle, "MEMO_MIN_NODES", memo):
+                mock.patch.object(oracle, "MEMO_MIN_NODES", memo), \
+                mock.patch.dict(os.environ, {"PATROLSIM_WORKERS": "1"}):
             res = exhaustive_tiebreak_search(g, policy, start, horizon,
                                              node_budget=budget)
         assert (res.peak, res.witness, res.complete,
@@ -408,7 +417,10 @@ def counted_search(*args, **kwargs):
     return res, calls[0]
 
 
-def test_search_replays_repeated_subtrees():
+def test_search_replays_repeated_subtrees(monkeypatch):
+    # the bound counts the kernel calls of one whole walk: a split walk
+    # makes some of them in a forked child, which this count does not see
+    monkeypatch.setenv("PATROLSIM_WORKERS", "1")
     # the budget-capped lfv-v search of the benchmark: most of its million
     # nodes lie in dead subtrees of a decision class it has walked before;
     # the walk without the table calls the kernel at 768,736 of them, and
@@ -420,7 +432,10 @@ def test_search_replays_repeated_subtrees():
     assert calls < res.nodes_explored // 20
 
 
-def test_search_counts_forced_lrv_tails_unwalked():
+def test_search_counts_forced_lrv_tails_unwalked(monkeypatch):
+    # the bound counts the kernel calls of one whole walk: a split walk
+    # makes some of them in a forked child, which this count does not see
+    monkeypatch.setenv("PATROLSIM_WORKERS", "1")
     # the benchmark's lrv-e search: few of its subtrees repeat, but most
     # paths end in a forced tail once every edge has been traversed; the
     # walk calls the kernel at 455,429 nodes, and 336,196 with the tails
@@ -451,22 +466,30 @@ def test_search_counts_forced_lrv_tails_unwalked():
     (lambda: generators.grid_triangulation(10, 10).dual, PolicyKind.LRV_E,
      10_000, 200_000, (1766, False, 200_001), 17_393),
 ], ids=["four-cycle-chain", "grid-dual", "grid10-lrv-e"])
-def test_search_replays_forced_lrv_tails(graph, policy, horizon, budget,
-                                         expected, bound):
+def test_search_replays_forced_lrv_tails(monkeypatch, graph, policy, horizon,
+                                         budget, expected, bound):
+    # the bound counts the kernel calls of one whole walk: a split walk
+    # makes some of them in a forked child, which this count does not see
+    monkeypatch.setenv("PATROLSIM_WORKERS", "1")
     res, calls = counted_search(graph(), policy, 0, horizon,
                                 node_budget=budget)
     assert (res.peak, res.complete, res.nodes_explored) == expected
     assert calls <= bound
 
 
-@pytest.mark.parametrize("graph,policy,horizon", [
+EVERY_BUDGET_TREES = [
     (lambda: four_cycle_chain(2), PolicyKind.LRV_V, 30),
     (lambda: generators.diamond_gadget_chain(1), PolicyKind.LRV_E, 30),
     (lambda: cycle(5), PolicyKind.LRV_V, 20),
     (lambda: four_cycle_chain(2), PolicyKind.LRV_V, 60),
     (lambda: tour_case(1926)[0], PolicyKind.LRV_V, 23),
-], ids=["four-cycle-chain-lrv-v", "diamond-lrv-e", "cycle-lrv-v",
-        "four-cycle-chain-tours", "tour-case-lrv-v"])
+]
+EVERY_BUDGET_IDS = ["four-cycle-chain-lrv-v", "diamond-lrv-e", "cycle-lrv-v",
+                    "four-cycle-chain-tours", "tour-case-lrv-v"]
+
+
+@pytest.mark.parametrize("graph,policy,horizon", EVERY_BUDGET_TREES,
+                         ids=EVERY_BUDGET_IDS)
 def test_search_matches_naive_recursion_at_every_budget(graph, policy,
                                                         horizon):
     # a budget that runs out inside a forced tail stops the walk where the
@@ -480,6 +503,186 @@ def test_search_matches_naive_recursion_at_every_budget(graph, policy,
                                          node_budget=budget)
         assert (res.peak, res.witness, res.complete,
                 res.nodes_explored) == expected, budget
+
+
+def one_walk(g, policy, horizon, budget) -> oracle.WorstCaseResult:
+    """The search from vertex 0 in one walk, never split."""
+    walk = oracle._tree_walk(g, policy, 0, horizon, budget, 0)
+    return oracle._resume(walk, None)[0]
+
+
+def split_walk(g, policy, horizon, budget, frames) -> tuple:
+    """``(result, split)``: the search from vertex 0 split at its
+    ``frames``-th branch frame, both parts walked in this process, the
+    child's after the parent's, and merged as ``exhaustive_tiebreak_search``
+    merges a forked child's report; ``split`` is False where the walk ends
+    first."""
+    parent = oracle._tree_walk(g, policy, 0, horizon, budget, frames)
+    walked = oracle._resume(parent, None)
+    if walked is not None:
+        return walked[0], False
+    res, at, _ = oracle._resume(parent, False)
+    if not res.complete:  # the budget ran out in the parent's part
+        return res, True
+    child = oracle._tree_walk(g, policy, 0, horizon, budget, frames)
+    assert oracle._resume(child, None) is None
+    # the report crosses the pipe as JSON, which turns tuples into lists
+    report = json.loads(json.dumps(oracle._report(
+        oracle._resume(child, True))))
+    return oracle._merge(res, at, *report, budget), True
+
+
+@pytest.mark.parametrize("graph,policy,horizon", EVERY_BUDGET_TREES + [
+    # an LFV tree that stores every subtree, so that the walk adds stored
+    # counts, cut at the budget, on both sides of the split
+    (lambda: path_dual(4), PolicyKind.LFV_V, 30),
+], ids=EVERY_BUDGET_IDS + ["path-lfv-v-stored"])
+def test_split_walk_matches_one_walk_at_every_frame_and_budget(
+        graph, policy, horizon):
+    # the child of the split gets the later children of the shallowest
+    # frame that has one; the frame pushed at the split counts as having
+    # its first child taken
+    g = graph()
+    memo = 1 if policy is PolicyKind.LFV_V else oracle.MEMO_MIN_NODES
+    with mock.patch.object(oracle, "MEMO_MIN_NODES", memo):
+        total = one_walk(g, policy, horizon, 10**6).nodes_explored
+        expected = [one_walk(g, policy, horizon, budget)
+                    for budget in range(total + 2)]
+        for frames in itertools.count(1):
+            split = False
+            for budget in range(total + 2):
+                res, at_budget = split_walk(g, policy, horizon, budget,
+                                            frames)
+                assert res == expected[budget], (frames, budget)
+                split |= at_budget
+            if not split:  # past the walk's last frame
+                break
+    assert frames > 1
+
+
+FORKS = pytest.mark.skipif(
+    not hasattr(os, "fork") or (os.cpu_count() or 1) < 2,
+    reason="a search splits only with os.fork and a second CPU")
+
+
+def forking_search(monkeypatch) -> tuple[list, list]:
+    """Let a search split at its first branch frame, and return the lists
+    that each ``os.fork`` and each signal ``os.kill`` sends append to."""
+    monkeypatch.delenv("PATROLSIM_WORKERS", raising=False)
+    monkeypatch.setattr(oracle, "SPLIT_MIN_FRAMES", 1)
+    forks, kills = [], []
+    fork, kill = os.fork, os.kill
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    def counted_kill(pid, sig):
+        kills.append(sig)
+        kill(pid, sig)
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "kill", counted_kill)
+    return forks, kills
+
+
+# four_cycle_chain(3) from vertex 0 to horizon 120: 3,553 nodes, of which
+# the parent's part of a split at the first frame ends at node 1,777
+CHAIN = (four_cycle_chain(3), PolicyKind.LRV_V, 120)
+
+
+def chain_search(budget=2_000_000) -> oracle.WorstCaseResult:
+    g, policy, horizon = CHAIN
+    return exhaustive_tiebreak_search(g, policy, 0, horizon,
+                                      node_budget=budget)
+
+
+@FORKS
+@pytest.mark.parametrize("budget", [2_000_000, 3_000],
+                         ids=["complete", "cut-in-the-child"])
+def test_forked_search_matches_one_walk(monkeypatch, budget):
+    forks, kills = forking_search(monkeypatch)
+    res = chain_search(budget)
+    assert res == one_walk(*CHAIN, budget)
+    assert res.complete == (budget > 3_553)
+    assert forks == [1] and kills == []
+    assert_no_child_left()
+
+
+@FORKS
+def test_budget_out_in_the_parent_kills_the_child(monkeypatch):
+    forks, kills = forking_search(monkeypatch)
+    res = chain_search(1_000)
+    assert res == one_walk(*CHAIN, 1_000) and not res.complete
+    assert forks == [1] and kills == [signal.SIGKILL]
+    assert_no_child_left()
+
+
+@FORKS
+def test_exception_in_the_parent_kills_the_child(monkeypatch):
+    forks, kills = forking_search(monkeypatch)
+    parent, kernel, calls = os.getpid(), oracle.tied_entries, []
+
+    def interrupted(*args):
+        if forks and os.getpid() == parent:  # the parent, past the split
+            calls.append(1)
+            if len(calls) == 100:
+                raise KeyboardInterrupt
+        return kernel(*args)
+
+    monkeypatch.setattr(oracle, "tied_entries", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        chain_search()
+    assert forks == [1] and kills == [signal.SIGKILL]
+    assert_no_child_left()
+
+
+@FORKS
+def test_killed_child_is_named_by_its_signal(monkeypatch):
+    forks, kills = forking_search(monkeypatch)
+    monkeypatch.setattr(oracle, "_report", lambda walked: os.kill(
+        os.getpid(), signal.SIGKILL))
+    with pytest.raises(RuntimeError) as raised:
+        chain_search()
+    assert str(raised.value) == "search: the second process failed: signal 9"
+    assert forks == [1] and kills == []  # reaped, not killed, by the parent
+    assert_no_child_left()
+
+
+@FORKS
+def test_failed_fork_raises_and_closes_its_pipe(monkeypatch):
+    forking_search(monkeypatch)
+    pipes, pipe = [], os.pipe
+
+    def recorded_pipe():
+        pipes.append(pipe())
+        return pipes[-1]
+
+    def failing_fork():
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    with pytest.raises(OSError, match="temporarily unavailable"):
+        chain_search()
+    assert len(pipes) == 1
+    for fd in pipes[0]:
+        with pytest.raises(OSError):  # closed
+            os.fstat(fd)
+
+
+@FORKS
+def test_live_thread_keeps_the_search_in_one_process(monkeypatch):
+    forks, _ = forking_search(monkeypatch)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        res = chain_search()
+    finally:
+        release.set()
+        thread.join()
+    assert res == one_walk(*CHAIN, 2_000_000) and forks == []
 
 
 def forced_tail_rounds(g, policy, start, horizon):
@@ -528,7 +731,10 @@ class RecordingPath(bytes):
     (lambda: four_cycle_chain(3), PolicyKind.LRV_V),
     (lambda: generators.diamond_gadget_chain(2), PolicyKind.LRV_E),
 ], ids=["four-cycle-chain-lrv-v", "diamond-lrv-e"])
-def test_search_walks_recurring_tails_as_tours(graph, policy):
+def test_search_walks_recurring_tails_as_tours(monkeypatch, graph, policy):
+    # the recorder logs the tour reads of one whole walk: a split walk
+    # makes some of them in a forked child, which the log does not see
+    monkeypatch.setenv("PATROLSIM_WORKERS", "1")
     g = graph()
     # a tail class recurs at another round, and later at an earlier round
     # than its first, so with more moves to go than that tail walked; at
@@ -875,7 +1081,10 @@ def test_tour_peak_matches_a_walk_of_the_tour():
     assert rules == {"closed", "moves"}
 
 
-def test_search_snapshot_memory_is_bounded():
+def test_search_snapshot_memory_is_bounded(monkeypatch):
+    # the bound is that of one whole walk: tracemalloc does not see the
+    # memory of a forked child, nor a parent whose child walks a part
+    monkeypatch.setenv("PATROLSIM_WORKERS", "1")
     # every node of a RANDOM search on a degree-3 graph is a branch point,
     # so the path keeps up to a horizon's worth of vlast copies
     g = generators.grid_triangulation(5, 5).dual
@@ -896,8 +1105,11 @@ def test_search_snapshot_memory_is_bounded():
     # measured 0.32 MB; storing every tail's moves, 0.48 MB
     (PolicyKind.LRV_V, 5_000, 200_000, 400_000),
 ], ids=["lfv-e", "lrv-v", "lrv-v-h5000"])
-def test_long_horizon_search_memory_is_bounded(policy, horizon, budget,
-                                               bound):
+def test_long_horizon_search_memory_is_bounded(monkeypatch, policy, horizon,
+                                               budget, bound):
+    # the bound is that of one whole walk: tracemalloc does not see the
+    # memory of a forked child, nor a parent whose child walks a part
+    monkeypatch.setenv("PATROLSIM_WORKERS", "1")
     # each branch frame on the path copies vlast and the key list: on the
     # grid(10,10) dual lfv-e ties at hundreds of a path's 2,000 rounds and
     # lrv-v at tens.  Only tails whose class recurs store their tour

@@ -1,7 +1,9 @@
 import math
 
+from patrolsim import ownership, verify
 from patrolsim.generators import grid_triangulation
-from patrolsim.ownership import (OwnerMap, assign_owners, verify_theorem1,
+from patrolsim.ownership import (OwnerMap, OwnershipInfeasible,
+                                 assign_owners, verify_theorem1,
                                  verify_theorem2)
 from patrolsim.triangulation import Triangulation
 
@@ -76,3 +78,15 @@ def test_theorem2_flags_corrupted_map():
     report = verify_theorem2(t, hub)
     assert report.max_dual_edges_owned == spokes > report.bound
     assert report.violations == (0,)
+
+
+def test_budget_cut_is_reported_and_fails_criterion_8(monkeypatch):
+    # grid(2,2) has 8 triangles, which greedy choice owns in 8 tries: a
+    # budget of 7 runs out at the last triangle, and each frame on the path
+    # pops with a try counted past the budget
+    t = grid_triangulation(2, 2)
+    assert isinstance(assign_owners(t), OwnerMap)
+    monkeypatch.setattr(ownership, "ASSIGN_BUDGET", 7)
+    assert assign_owners(t) == OwnershipInfeasible("node budget exhausted")
+    assert verify.criterion_ownership().line() == (
+        "FAIL ownership: grid(2,2): node budget exhausted")
