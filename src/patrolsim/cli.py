@@ -16,6 +16,7 @@ import json
 import os
 import shutil
 import sys
+from array import array
 from pathlib import Path
 
 from . import generators
@@ -378,16 +379,11 @@ def _run_forked(config: SimConfig, files: dict) -> tuple:
                 trace = None
             ends.remove(arcs_out)
             os.close(arcs_out)
-            kind, *result = child.result()
+            result = child.result("simulate: the writer process")
     finally:
         for fd in ends:
             os.close(fd)
-    if kind == "ok":  # the child read every chunk: the run ended
-        return (trace, *result)
-    if kind == "OSError":
-        raise CliError(f"simulate: {result[0]}")
-    raise RuntimeError(f"simulate: the writer process failed: {kind} "
-                       f"{result[0]}")
+    return (trace, *result)
 
 
 def _writer_child(config: SimConfig, files: dict, arcs_in: int,
@@ -423,17 +419,48 @@ def _parse_range(text: str, flag: str) -> list[int]:
 
 
 def _map(fn, jobs) -> list:
-    """``[fn(job) for job in jobs]``.  The jobs run in a pool of
-    ``min(_workers(), len(jobs))`` worker processes when that is above 1,
-    and in this process otherwise, so PATROLSIM_WORKERS=1 keeps every job
-    here.  ``fn`` and the jobs must pickle.  The pool's modules load only
-    when a pool is made: they would nearly double a command's start-up."""
-    workers = min(_workers(), len(jobs))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
+    """``[fn(job) for job in jobs]``, in this process, or where
+    ``engine.forkable()`` and there is more than one job, in
+    ``min(_workers(), len(jobs))`` forked ``engine.Child`` workers that
+    take job indices in turn from one pipe (``_take``) and report as JSON.
+    Whatever fails, every worker is killed and reaped before this returns."""
+    if not forkable() or len(jobs) < 2:  # forkable() reads PATROLSIM_WORKERS
+        return [fn(job) for job in jobs]
+    done, ends = [], []  # ends: the job pipe's ends open here
+    try:
+        ends += os.pipe()
+        with contextlib.ExitStack() as stack:
+            workers = []
+            for _ in range(min(_workers(), len(jobs))):
+                child = stack.enter_context(Child())
+                if not child.pid:
+                    report(child.fd, lambda: _take(fn, jobs, *ends))
+                workers.append(child)
+            os.close(ends.pop(0))
+            with contextlib.suppress(BrokenPipeError):  # no worker reads
+                send(ends[0], array("i", range(len(jobs))))
+            os.close(ends.pop())
+            for child in workers:
+                done += child.result("a worker process")
+    finally:
+        for fd in ends:
+            os.close(fd)
+    return [result for _, result in sorted(done)]
+
+
+def _take(fn, jobs, queue: int, other: int) -> list:
+    """A ``_map`` worker's body: close ``other``, the job pipe's write end,
+    then run ``fn(jobs[index])`` for each ``array('i')`` index read from
+    ``queue`` until the pipe is empty and closed, as ``[index, result]``
+    pairs.  A read short of an index raises ``EOFError``."""
+    os.close(other)
+    size, done = array("i").itemsize, []
+    while data := os.read(queue, size):
+        if len(data) < size:
+            raise EOFError("a job index was cut short")
+        index = array("i", data)[0]
+        done.append([index, fn(jobs[index])])
+    return done
 
 
 def _sweep_one(job) -> tuple:
@@ -542,12 +569,13 @@ def cmd_verify(args) -> int:
     if args.suite not in verify.SUITES:
         raise CliError(f"unknown suite {args.suite!r}; choose from "
                        f"{', '.join(sorted(verify.SUITES))}")
-    results = [result for results in
-               _map(verify.run_check, verify.SUITES[args.suite])
-               for result in results]
-    for result in results:
-        print(result.line())
-    return 0 if all(r.passed for r in results) else 1
+    # each check's (line, passed) pairs, which cross a worker's pipe as JSON
+    results = [result for results in _map(
+        lambda name: [(r.line(), r.passed) for r in verify.run_check(name)],
+        verify.SUITES[args.suite]) for result in results]
+    for line, _ in results:
+        print(line)
+    return 0 if all(passed for _, passed in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -316,21 +316,28 @@ def _workers() -> int:
 
 def forkable() -> bool:
     """Whether work may go to a forked second process: ``_workers()`` is
-    above 1, ``os.fork`` exists and no other thread runs, whose locks a
-    child could inherit held."""
+    above 1, this process is no forked ``Child``, ``os.fork`` exists and no
+    other thread runs, whose locks a child could inherit held."""
     threading = sys.modules.get("threading")
-    return (_workers() > 1 and hasattr(os, "fork")
+    return (_workers() > 1 and not Child.forked and hasattr(os, "fork")
             and (threading is None or threading.active_count() == 1))
+
+
+# the errors a child names by these bases, for its parent to raise as such
+_RAISED = {"ValueError": ValueError, "OSError": OSError}
 
 
 class Child:
     """A forked process that reports once to its parent through a pipe.
 
-    ``Child()`` forks.  In the child ``pid`` is 0 and ``fd`` the pipe's
-    write end, for ``report``.  In the parent ``fd`` is the read end, and
-    ``result()`` reads the report and reaps the child.  Leaving the
-    ``with`` block of a child not reaped kills and reaps it, so whatever
-    raises in the parent, no process outlives the block."""
+    ``Child()`` forks.  In the child ``pid`` is 0, ``fd`` the pipe's
+    write end, for ``report``, and ``forkable()`` False.  In the parent
+    ``fd`` is the read end, and ``result()`` reads the report and reaps
+    the child.  Leaving the ``with`` block of a child not reaped kills and
+    reaps it, so whatever raises in the parent, no process outlives the
+    block."""
+
+    forked = False  # True in a forked child: it never forks again
 
     def __init__(self):
         read_end, write_end = os.pipe()
@@ -344,6 +351,7 @@ class Child:
         self.fd, other = ((read_end, write_end) if self.pid
                           else (write_end, read_end))
         os.close(other)
+        Child.forked = Child.forked or not self.pid
 
     def __enter__(self) -> Child:
         return self
@@ -358,34 +366,41 @@ class Child:
             os.close(self.fd)
             self.fd = None
 
-    def result(self) -> list:
-        """The child's report, read to its end, once the child has closed
-        the pipe and been reaped: ``["ok", ...]`` or ``[error type,
-        message]`` as ``report`` writes it, or ``["exit code", n]`` or
-        ``["signal", n]`` for a child that ended without one."""
+    def result(self, what: str) -> list:
+        """The list the child's work returned, once the child has closed
+        the pipe and been reaped.  A reported ``ValueError`` or ``OSError``
+        is raised as that type; any other error, and a child that ended
+        without a report (``exit code n``, ``signal n``), as
+        ``RuntimeError(f"{what} failed: {kind} {message}")``."""
         with open(self.fd, "rb") as pipe:
             self.fd = None
             data = pipe.read()
         code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         self.pid = 0
-        if data:
-            return json.loads(data)
-        return ["exit code", code] if code >= 0 else ["signal", -code]
+        kind, *done = json.loads(data) if data else (
+            ["exit code", code] if code >= 0 else ["signal", -code])
+        if kind == "ok":
+            return done
+        if kind in _RAISED:
+            raise _RAISED[kind](done[0])
+        raise RuntimeError(f"{what} failed: {kind} {done[0]}")
 
 
 def report(fd: int, work: Callable[[], list]) -> NoReturn:
     """The end of a forked child: ``["ok", *work()]``, or ``[error type,
     message]`` if ``work`` raises, is written to ``fd`` for the parent's
-    ``Child.result``.  Every path leaves through ``os._exit``: the child
-    never returns into its caller, prints no traceback and flushes no
-    buffer it inherited."""
+    ``Child.result``.  A ``ValueError`` or ``OSError`` is named by that
+    base, a subclass too.  Every path leaves through ``os._exit``: the
+    child never returns into its caller, prints no traceback and flushes
+    no buffer it inherited."""
     code = 1
     try:
         try:
             done = ["ok", *work()]
         except Exception as exc:  # the parent raises it
-            done = ["OSError" if isinstance(exc, OSError)
-                    else type(exc).__name__, str(exc)]
+            done = [next((name for name, base in _RAISED.items()
+                          if isinstance(exc, base)), type(exc).__name__),
+                    str(exc)]
         send(fd, json.dumps(done).encode())
         code = 0
     finally:

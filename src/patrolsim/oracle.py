@@ -178,10 +178,7 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
         res, at, _ = _resume(walk, False)
         if not res.complete:  # the budget ran out in the parent's part
             return res
-        kind, *reported = child.result()
-    if kind != "ok":
-        raise RuntimeError(f"search: the second process failed: {kind} "
-                           f"{reported[0]}")
+        reported = child.result("search: the second process")
     return _merge(res, at, *reported, node_budget)
 
 

@@ -5,7 +5,8 @@ and differential testing of the engine against the naive reference
 simulator.  Each criterion returns a CheckResult, and the invariants
 check a list of three, so both the CLI and the test suite can consume
 them.  ``SUITES`` names each suite's checks, which ``run_check`` runs one
-at a time, in this process or a worker.
+at a time, in this process or in a forked worker, which inherits this
+module as it stands.
 """
 
 from __future__ import annotations
@@ -477,9 +478,9 @@ SUITES = {
 def run_check(name: str) -> list[CheckResult]:
     """The results of the check function ``name`` of this module, one of
     those listed in ``SUITES``.  The checks are independent, so they may
-    run in any process.  A check is looked up by name when it runs: a
-    worker process is sent only the name, and a function swapped onto the
-    module's attribute (a test's stub, a profiler's wrapper) is the one
-    called."""
+    run in any process.  A check is looked up by name when it runs, so a
+    function swapped onto the module's attribute (a test's stub, a
+    profiler's wrapper) is the one called, in this process or in a worker
+    forked after the swap."""
     result = globals()[name]()
     return result if isinstance(result, list) else [result]

@@ -1,7 +1,7 @@
-import concurrent.futures
 import hashlib
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -602,14 +602,25 @@ def test_sweep_bad_range(tmp_path, capsys):
     ("--sweep", "n=1..2", "has no neighbors"),
 ], ids=["policy", "sweep-range", "robots", "seeds", "robots-zero",
         "isolated-start"])
-def test_sweep_bad_input_exits_2(tmp_path, capsys, flag, value, message):
+def test_sweep_bad_input_exits_2(tmp_path, monkeypatch, capsys, flag, value,
+                                 message):
+    # in this process, and across two forked workers, where a worker's
+    # input error (IsolatedVertexError too) reaches the parent as a
+    # ValueError with the same message
     args = {"--family": "path", "--sweep": "n=4..5", "--policies": "lrv-v",
             "--horizon": "10", "--out-dir": str(tmp_path)}
     args[flag] = value
-    assert main(["sweep", *(tok for pair in args.items()
-                            for tok in pair)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and message in err
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    errs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("PATROLSIM_WORKERS", workers)
+        assert main(["sweep", *(tok for pair in args.items()
+                                for tok in pair)]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("error:") and message in errs[0]
+    assert errs[0].count("\n") == 1
+    assert_no_child_left()
 
 
 def test_verify_invariants(capsys):
@@ -662,10 +673,15 @@ def test_simulate_failure_leaves_no_files(tmp_path, capsys, overrides):
 
 
 def forking(monkeypatch) -> list:
-    """Make ``simulate`` fork its writer as on a 2-CPU host, and return the
-    list that each fork appends to."""
+    """Make ``simulate`` fork its writer, and ``_map`` two workers, as on a
+    2-CPU host, and return the list that each fork appends to."""
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.delenv("PATROLSIM_WORKERS", raising=False)
+    return counting_forks(monkeypatch)
+
+
+def counting_forks(monkeypatch) -> list:
+    """Count this process's ``os.fork`` calls in the list returned."""
     forks, fork = [], os.fork
 
     def counted():
@@ -812,36 +828,26 @@ def test_writes_go_through_symlinks_and_keep_modes(tmp_path, capsys):
     assert real.stat().st_mode & 0o777 == 0o640
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size and runs the jobs
-    in this process."""
-
-    def __init__(self, sizes, max_workers):
-        sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        return map(fn, jobs)
-
-
 @pytest.mark.parametrize("cpus,size", [(8, 3), (2, 2), (1, None),
                                        (None, None)])
-def test_sweep_pool_is_capped(tmp_path, monkeypatch, cpus, size):
-    sizes = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        lambda max_workers: RecordingPool(sizes, max_workers))
+def test_sweep_pool_is_capped(tmp_path, monkeypatch, capsys, cpus, size):
+    # the workers are real forks, counted in this process
+    forks = counting_forks(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    argv = ["sweep", "--family", "path", "--sweep", "n=4..6", "--policies",
+            "lrv-v", "--horizon", "10", "--out-dir", str(tmp_path)]  # 3 jobs
     monkeypatch.setenv("PATROLSIM_WORKERS", "1000")
-    assert main(["sweep", "--family", "path", "--sweep", "n=4..6",
-                 "--policies", "lrv-v", "--horizon", "10",
-                 "--out-dir", str(tmp_path)]) == 0  # 3 jobs
-    assert sizes == ([] if size is None else [size])
-    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 4
+    assert main(argv) == 0
+    assert len(forks) == (size or 0)
+    rows = (tmp_path / "sweep.csv").read_text()
+    assert len(rows.splitlines()) == 4
+    monkeypatch.setenv("PATROLSIM_WORKERS", "1")
+    assert main(argv) == 0
+    assert len(forks) == (size or 0)  # no fork
+    assert (tmp_path / "sweep.csv").read_text() == rows
+    out = capsys.readouterr().out.splitlines()
+    assert out[:len(out) // 2] == out[len(out) // 2:]
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("setup,message", [
@@ -961,10 +967,10 @@ def test_verify_in_process_matches_default(monkeypatch, capsys):
 
 @pytest.mark.parametrize("cpus", [16, 8, 2, 1, None])
 def test_verify_pool_is_sized_by_checks_and_cpus(monkeypatch, capsys, cpus):
+    # the workers are real forks, counted in this process; they run the
+    # stubs, which they inherit
     from patrolsim import verify
-    sizes = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        lambda max_workers: RecordingPool(sizes, max_workers))
+    forks = counting_forks(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.delenv("PATROLSIM_WORKERS", raising=False)
     for name in verify.SUITES["theorems"]:
@@ -975,13 +981,118 @@ def test_verify_pool_is_sized_by_checks_and_cpus(monkeypatch, capsys, cpus):
 
     assert main(["verify", "theorems"]) == 1
     size = min(cpus or 1, 8)
-    assert sizes == ([size] if size > 1 else [])
+    assert len(forks) == (size if size > 1 else 0)
     assert capsys.readouterr().out.splitlines() == [
         f"{'FAIL' if name == 'criterion_multi_robot_speedup' else 'PASS'} "
         f"{name}: stub" for name in verify.SUITES["theorems"]]
 
-    assert main(["verify", "invariants"]) == 0  # one check: no pool
-    assert sizes == ([size] if size > 1 else [])
+    assert main(["verify", "invariants"]) == 0  # one check: no fork
+    assert len(forks) == (size if size > 1 else 0)
+    assert_no_child_left()
+
+
+FORKS = pytest.mark.skipif(
+    not hasattr(os, "fork") or (os.cpu_count() or 1) < 2,
+    reason="_map forks its workers only with os.fork and a second CPU")
+
+
+@FORKS
+def test_killed_worker_is_named_by_its_signal(monkeypatch):
+    # each worker kills itself at its first job, with more job indices left
+    # than the pipe holds: the parent's write finds no reader
+    forks = forking(monkeypatch)
+    with pytest.raises(RuntimeError) as raised:
+        cli._map(lambda job: os.kill(os.getpid(), signal.SIGKILL),
+                 range(100_000))
+    assert str(raised.value) == "a worker process failed: signal 9"
+    assert forks == [1, 1]
+    assert_no_child_left()
+
+
+@FORKS
+def test_exception_in_the_parent_kills_every_worker(monkeypatch):
+    forks = forking(monkeypatch)
+    kills, kill = [], os.kill
+
+    def counted_kill(pid, sig):
+        kills.append(sig)
+        kill(pid, sig)
+
+    def interrupted(fd, moves):  # the parent, once both workers are forked
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "kill", counted_kill)
+    monkeypatch.setattr(cli, "send", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli._map(str, [1, 2, 3])
+    assert forks == [1, 1] and kills == [signal.SIGKILL] * 2
+    assert_no_child_left()
+
+
+@FORKS
+def test_worker_jobs_do_not_fork_again(monkeypatch):
+    forks = forking(monkeypatch)
+    assert engine.forkable()
+    assert cli._map(lambda job: [job, engine.forkable()], [0, 1, 2]) \
+        == [[0, False], [1, False], [2, False]]
+    assert forks == [1, 1]
+    assert_no_child_left()
+
+
+@FORKS
+def test_workers_take_jobs_in_turn_and_keep_job_order(monkeypatch):
+    # job 0 waits for job 2, and job 2 for job 3: while one worker holds
+    # job 0, the other takes jobs 1 and 2, and the first takes job 3 once
+    # job 2 frees it.  Each worker reports its jobs out of job order
+    forks = forking(monkeypatch)
+    (wait_0, free_0), (wait_2, free_2) = os.pipe(), os.pipe()
+
+    def job(index):
+        if index == 3:
+            os.write(free_2, b"x")
+        if index == 2:
+            os.write(free_0, b"x")
+        if index in (0, 2):
+            ready = select.select([wait_0 if index == 0 else wait_2], [], [],
+                                  60)[0]
+            assert ready, "a queued job was held up"
+        return [index, os.getpid()]
+
+    try:
+        done = cli._map(job, range(4))
+    finally:
+        for fd in (wait_0, free_0, wait_2, free_2):
+            os.close(fd)
+    assert [index for index, _ in done] == [0, 1, 2, 3]
+    pids = [pid for _, pid in done]
+    assert pids[0] == pids[3] != pids[1] == pids[2] != os.getpid()
+    assert forks == [1, 1]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("short", [False, True], ids=["whole", "cut"])
+def test_worker_body_runs_in_process(short):
+    # the forked worker's body in this process: it closes the write end it
+    # is given, takes the job indices in the pipe until it is empty and
+    # closed, and a record cut short raises EOFError
+    from array import array
+    queue, other = os.pipe()
+    write_end = os.dup(other)
+    os.write(write_end, array("i", [2, 0, 3]).tobytes()
+             + (b"\0\0" if short else b""))
+    os.close(write_end)
+    jobs = ["a", "b", "c", "d"]
+    try:
+        if short:
+            with pytest.raises(EOFError, match="a job index was cut short"):
+                cli._take(str.upper, jobs, queue, other)
+        else:
+            assert cli._take(str.upper, jobs, queue, other) \
+                == [[2, "C"], [0, "A"], [3, "D"]]
+        with pytest.raises(OSError):  # closed
+            os.fstat(other)
+    finally:
+        os.close(queue)
 
 
 WORKERS_ARGV = pytest.mark.parametrize("argv", [
@@ -1050,7 +1161,9 @@ def test_commands_load_no_pool_or_unused_suite(tmp_path):
              ["simulate", "--scenario", "s.json", "--out-dir", "o"],
              ["search", "four-cycle-chain", "k=2", "--policy", "lrv-v",
               "--horizon", "20", "--out", "w.txt"],
-             ["verify", "invariants"]]  # one check: no pool
+             ["sweep", "--family", "path", "--sweep", "n=4..6",
+              "--policies", "lrv-v", "--horizon", "10", "--out-dir", "sw"],
+             ["verify", "invariants"]]  # one check: no worker
     env = subprocess_env()
     env.pop("PATROLSIM_WORKERS", None)
     proc = subprocess.run(
@@ -1059,8 +1172,9 @@ def test_commands_load_no_pool_or_unused_suite(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
         "import": [], "generate": [], "simulate": [], "search": [],
-        # the suite brings statistics; no command brings a pool
-        "verify": ["statistics", "patrolsim.verify"]}
+        # the sweep's 3 jobs run in workers where there are 2 CPUs, and no
+        # command brings multiprocessing; the suite brings statistics
+        "sweep": [], "verify": ["statistics", "patrolsim.verify"]}
 
 
 @pytest.mark.parametrize("argv", [
