@@ -53,12 +53,13 @@ EVENTS_HEADER = "round,robot,from,edge,to\n"
 
 
 def _placements(config: SimConfig) -> dict[int, list[int]]:
-    """The one placement order, ``{round: [vertex, ...]}``: the starts,
-    then the arrivals in config order.  A robot's id is its place in it."""
+    """The one placement order, ``{round: [vertex, ...]}`` by ascending
+    round: the starts, then the arrivals in config order.  A robot's id is
+    its place in it."""
     placed = {0: list(config.starts)}
     for t, v in config.arrivals:
         placed.setdefault(t, []).append(v)
-    return placed
+    return dict(sorted(placed.items()))
 
 
 def _chunks(config: SimConfig) -> Iterator[Chunk]:
@@ -73,7 +74,7 @@ def _chunks(config: SimConfig) -> Iterator[Chunk]:
     placed = arrivals.pop(0)
     yield 0, 0, 0, placed
     robots, first, placed = len(placed), 1, []
-    for t in sorted(arrivals) + [config.horizon + 1]:
+    for t in [*arrivals, config.horizon + 1]:
         per = max(1, EVENTS_CHUNK // robots if robots else t - first)
         for lo in range(first, t, per):
             yield lo, min(lo + per, t) - 1, robots, placed
@@ -130,7 +131,7 @@ class Trace:
         vertex)``: derived from the config, not recorded."""
         placed = _placements(self.config)
         return tuple((t, rid, v) for rid, (t, v) in enumerate(
-            (t, v) for t in sorted(placed) for v in placed[t]))
+            (t, v) for t in placed for v in placed[t]))
 
     def replay(self, sink: Sink) -> None:
         """``relay`` of the recorded run: ``sink`` gets ``run``'s chunks."""
@@ -175,8 +176,9 @@ class SimState:
     """Mutable state of one run from round 0, as flat lists indexed by
     vertex or edge id: ``vlast``/``elast`` hold the last visit/traversal
     round (-1 for never) and ``vcnt``/``ecnt`` the counts.  ``robots[i]``
-    is the position of robot ``i``.  ``moves`` (arc ids, see ``Trace``)
-    records the run; ``arrivals`` holds the placements not made yet."""
+    is the position of robot ``i``, and ``ids`` is ``(0, ..., len(robots)
+    - 1)``.  ``moves`` (arc ids, see ``Trace``) records the run;
+    ``arrivals`` holds the placements not made yet, the next one first."""
 
     def __init__(self, config: SimConfig):
         self.config = config
@@ -200,6 +202,7 @@ class SimState:
             self.robots.append(v)
             self.vlast[v] = self.round
             self.vcnt[v] += 1
+        self.ids = tuple(range(len(self.robots)))
 
 
 def init(config: SimConfig) -> SimState:
@@ -217,7 +220,14 @@ def step(state: SimState, rounds: int = 1) -> SimState:
     candidate moves without consulting the tie-break, so singleton sets
     consume no script entry or randomness.  ``step(state, k)`` equals
     ``k`` calls of ``step(state)``; negative ``rounds`` or a step past the
-    horizon raises ``ValueError`` before any round is played.
+    horizon raises ``ValueError`` before any round is played.  A ``state``
+    that ``step`` raised from mid-way is not stepped again.
+
+    Between arrival rounds the robots stay the same, so each such stretch
+    of rounds is one loop over its ``(round, robot)`` pairs.  At an
+    adjacency list of three entries the loop picks the least key itself,
+    as ``tied_entries`` would, and asks the tie-break only on a tie, with
+    the tied entries in adjacency order; other lengths call the kernel.
     """
     left = state.config.horizon - state.round
     if not 0 <= rounds <= left:
@@ -226,24 +236,45 @@ def step(state: SimState, rounds: int = 1) -> SimState:
     vlast, vcnt, elast, ecnt = state.vlast, state.vcnt, state.elast, state.ecnt
     robots, arrivals = state.robots, state.arrivals
     record, choose = state.moves.append, state.tiebreak.choose
-    for t in range(state.round + 1, state.round + rounds + 1):
-        state.round = t
-        if arrivals and t in arrivals:
+    first, stop = state.round + 1, state.round + rounds + 1
+    while first < stop:  # the stretch of rounds first..end-1
+        if arrivals and first in arrivals:
+            state.round = first
             state._place()
-        for rid, pos in enumerate(robots):
-            tied = tied_entries(adj[pos], keys, slot)
-            if len(tied) == 1:
-                to, via, arc = tied[0]
-            elif tied:
-                to, via, arc = tied[choose(len(tied))]
+        end = min(next(iter(arrivals)), stop) if arrivals else stop
+        for t, rid in product(range(first, end), state.ids):
+            entries = adj[robots[rid]]
+            if len(entries) == 3:
+                a, b, c = entries
+                ka, kb, kc = keys[a[slot]], keys[b[slot]], keys[c[slot]]
+                if ka < kb:
+                    entry = (a if ka < kc else c if kc < ka
+                             else (a, c)[choose(2)])
+                elif kb < ka:
+                    entry = (b if kb < kc else c if kc < kb
+                             else (b, c)[choose(2)])
+                elif ka < kc:
+                    entry = (a, b)[choose(2)]
+                else:
+                    entry = c if kc < ka else (a, b, c)[choose(3)]
             else:
-                raise IsolatedVertexError(f"vertex {pos} has no neighbors")
+                tied = tied_entries(entries, keys, slot)
+                if len(tied) == 1:
+                    entry = tied[0]
+                elif tied:
+                    entry = tied[choose(len(tied))]
+                else:
+                    raise IsolatedVertexError(
+                        f"vertex {robots[rid]} has no neighbors")
+            to, via, arc = entry
             record(arc)
             robots[rid] = to
             vlast[to] = t
             vcnt[to] += 1
             elast[via] = t
             ecnt[via] += 1
+        first = end
+    state.round = stop - 1
     return state
 
 

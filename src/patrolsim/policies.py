@@ -155,8 +155,9 @@ def decision_keys(policy: PolicyKind, n: int, vlast: list[int],
 def tied_entries(entries, keys: list[int], slot: int) -> list:
     """The entries of one ``Graph.adj`` list, ``(neighbor, edge, arc)``,
     that minimize ``keys[entry[slot]]``, in their given order, as a new
-    list; empty for no entries.  It runs once per robot move and once per
-    search node.
+    list; empty for no entries.  It runs once per search node, and once
+    per robot move at a vertex of other than three entries: ``engine.step``
+    decides three entries itself, with the same comparisons.
 
     Two and three entries, the degrees of a triangulation dual's boundary
     and inner triangles, take straight-line comparisons; other sizes take

@@ -1,11 +1,14 @@
+import itertools
 import json
 
 import pytest
 
 from patrolsim.engine import SimConfig, init, run, step
 from patrolsim.generators import cycle, four_cycle_chain, path_dual
+from patrolsim.graph import Graph
 from patrolsim.metrics import vertex_peak_refresh
-from patrolsim.policies import PolicyKind, TieBreakSpec
+from patrolsim.policies import (PolicyKind, ScriptChoiceError, TieBreakSpec,
+                                tied_entries)
 
 
 def test_cycle4_lrv_v_counts_and_peaks():
@@ -76,6 +79,37 @@ def test_step_past_horizon_rejected():
     step(state)
     with pytest.raises(ValueError, match="horizon"):
         step(state)
+
+
+@pytest.mark.parametrize("policy", [PolicyKind.LRV_V, PolicyKind.LRV_E,
+                                    PolicyKind.LFV_V, PolicyKind.LFV_E],
+                         ids=lambda p: p.value)
+def test_three_entries_are_decided_as_the_kernel_decides(policy):
+    # step compares a 3-entry adjacency list's keys itself; it must take
+    # the entry the kernel's tied set and the tie-break give, and read a
+    # script entry only on a tie
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    entries = star.adj[0]
+    for keys in itertools.product((-1, 0, 1), repeat=3):
+        for index in range(3):
+            state = init(SimConfig(graph=star, policy=policy, starts=(0,),
+                                   horizon=1,
+                                   tiebreak=TieBreakSpec.scripted([index])))
+            for entry, key in zip(entries, keys):
+                state.keys[entry[state.slot]] = key
+            tied = tied_entries(entries, state.keys, state.slot)
+            if len(tied) > 1 and index >= len(tied):
+                with pytest.raises(ScriptChoiceError) as kernel:
+                    TieBreakSpec.scripted([index]).make().choose(len(tied))
+                with pytest.raises(ScriptChoiceError) as inline:
+                    step(state)
+                assert str(inline.value) == str(kernel.value)
+                continue
+            step(state)
+            chosen = tied[index] if len(tied) > 1 else tied[0]
+            assert state.moves == [chosen[2]]
+            assert state.robots == [chosen[0]]
+            assert state.tiebreak.unread == (len(tied) == 1)
 
 
 def test_config_validation():

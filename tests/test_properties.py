@@ -140,6 +140,48 @@ def test_multi_round_step_equals_single_steps(seed, pol_idx, kind, horizon,
     assert state_facts(single) == state_facts(multi)
 
 
+def step_outcome(cfg, bounds):
+    """The facts of ``cfg``'s state stepped in pieces from ``bounds[0]``
+    to ``bounds[-1]``, or the type and message of the error it raised."""
+    state = init(cfg)
+    try:
+        for lo, hi in zip(bounds, bounds[1:]):
+            step(state, hi - lo)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return state_facts(state)
+
+
+@given(st.integers(0, 10**9), st.integers(0, 4), st.sampled_from(
+    TIEBREAK_KINDS), st.integers(2, 30), st.booleans(),
+       st.lists(st.integers(0, 30), max_size=4), st.integers(0, 90))
+@settings(max_examples=80, deadline=None)
+def test_step_pieces_meet_at_arrival_seams(seed, pol_idx, kind, horizon,
+                                           started, cuts, script_len):
+    # step walks the rounds between arrivals as one stretch: robots arrive
+    # at round 1, two at once in a middle round and one at the horizon,
+    # and calls cut right before and at each arrival round must meet where
+    # one call does.  A short script runs out mid-round: both ways raise
+    # the same error.
+    g = random_connected_graph(seed)
+    rng = random.Random(seed ^ 0x5EA5)
+    mid = rng.randrange(2, horizon + 1)
+    arrivals = tuple((t, rng.randrange(g.n)) for t in (1, mid, mid, horizon))
+    cfg = dataclasses.replace(
+        stepping_config(seed, pol_idx, kind, horizon, False),
+        arrivals=arrivals)
+    if not started:
+        cfg = dataclasses.replace(cfg, starts=())
+    if kind == "scripted":
+        cfg = dataclasses.replace(cfg, tiebreak=TieBreakSpec.scripted(
+            cfg.tiebreak.script[:script_len]))
+    seams = {t + d for t, _ in arrivals for d in (-1, 0)}
+    bounds = sorted(seams | {min(c, horizon) for c in cuts} | {horizon})
+    whole = step_outcome(cfg, [0, horizon])
+    assert step_outcome(cfg, bounds) == whole
+    assert step_outcome(cfg, list(range(horizon + 1))) == whole
+
+
 def run_reading_script(cfg):
     """``run(cfg)``, a scripted tie-break cut to the entries it reads."""
     if cfg.tiebreak.kind == "scripted":
