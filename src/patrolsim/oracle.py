@@ -28,18 +28,15 @@ class WorstCaseResult:
     nodes_explored: int
 
 
-def _decision_class(keys: list[int] | None, bump: bool) -> tuple:
-    """What a search subtree's shape depends on besides ``(pos, t)``: the
-    comparisons among the policy's keys.  An LRV move stamps a round newer
-    than every key, so the keys' dense ranks; an LFV move adds 1, so each
-    key minus the first; RANDOM's keys (None) are constant."""
+def _decision_class(keys: list[int] | None) -> tuple:
+    """What an LFV or RANDOM search subtree's shape depends on besides
+    ``(pos, t)``: the comparisons among the policy's keys.  An LFV move
+    adds 1, so each key minus the first; RANDOM's keys (None) are
+    constant."""
     if keys is None:
         return ()
-    if bump:
-        first = keys[0]
-        return tuple([k - first for k in keys])
-    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
-    return tuple(map(rank.__getitem__, keys))
+    first = keys[0]
+    return tuple([k - first for k in keys])
 
 
 def _tour(path: list[int], n: int) -> tuple:
@@ -119,28 +116,29 @@ def exhaustive_tiebreak_search(g: Graph, policy: PolicyKind, start: int,
 
     A node is dead when no vertex was last seen before that round and its
     peak is at most the best: no gap below it can exceed the best, so no
-    leaf below it raises the best or changes the witness.  A subtree's
-    shape, and so its node count, depends only on ``(pos, t)`` and the
-    node's ``_decision_class``.  A branch frame whose subtree held at least
-    ``MEMO_MIN_NODES`` nodes stores that count under both when it is
-    popped, and a dead branch node of a stored class adds the count, cut
-    at the budget, instead of walking the subtree.
+    leaf below it raises the best or changes the witness.  Under LFV and
+    RANDOM a subtree's shape, and so its node count, depends only on
+    ``(pos, t)`` and the node's ``_decision_class``.  A branch frame whose
+    subtree held at least ``MEMO_MIN_NODES`` nodes stores that count under
+    both when it is popped, and a dead branch node of a stored class adds
+    the count, cut at the budget, instead of walking the subtree.
 
-    Under LRV, once a move leaves no key at -1, every key is a distinct
-    round, so no set ties again and the rest of the path is a forced tail.
-    Its nodes up to the leaf are counted at once, cut at the budget.  With
-    no vertex stale the walk goes on at the leaf: no gap of the tail
-    exceeds the best, so the leaf raises the best only to its peak so far.
-    Otherwise the tail's moves depend only on ``pos`` and the keys'
-    ``_decision_class``, and a stamp takes one class to one class.  So
-    where the walk comes back to a tail's class after p moves, it repeats
-    those p moves forever: a tour.  A tail walks with the kernel until
-    its class recurs, and ``tours`` stores the tour's ``_tour`` under
-    both; a later tail of a stored class walks it without the kernel, or
-    takes its peak in closed form (``_tour_peak``).  Each move updates
-    ``vlast``, the peak, the keys and ``stale``, and the tail goes on at
-    the leaf once no vertex is stale.  Node order, node counts, the budget
-    check and the result stay those of the full walk.
+    No measured LRV search hit that table, so LRV keeps none.  Once an LRV
+    move leaves no key at -1, every key is a distinct round, so no set
+    ties again and the rest of the path is a forced tail.  Its nodes up
+    to the leaf are counted at once, cut at the budget.  With no vertex
+    stale the walk goes on at the leaf: no gap of the tail exceeds the
+    best, so the leaf raises the best only to its peak so far.  Otherwise
+    the tail's moves depend only on ``pos`` and the order of its keys,
+    which decides every tie, and a stamp takes one order to one order.
+    So where the walk comes back to a tail's vertex and order after p
+    moves, it repeats those p moves forever: a tour.  A tail walks with
+    the kernel until its order recurs, and ``tours`` stores the tour's
+    ``_tour`` under both; a later tail of a stored order walks it without
+    the kernel, or takes its peak in closed form (``_tour_peak``).  Each
+    move updates ``vlast``, the peak, the keys and ``stale``, and the tail
+    goes on at the leaf once no vertex is stale.  Node order, node counts,
+    the budget check and the result stay those of the full walk.
 
     Where ``engine.forkable()``, the walk splits once, when it pushes its
     ``SPLIT_MIN_FRAMES``-th branch frame: a forked ``engine.Child`` walks
@@ -257,12 +255,12 @@ def _tree_walk(g: Graph, policy: PolicyKind, start: int, horizon: int,
     # minus one.
     stack: list[list] = []
     # explored[(vertex, time)][_decision_class(...)]: the node count of a
-    # branch node's subtree, walked to its end
+    # branch node's subtree, walked to its end; LFV and RANDOM only
     explored: dict[tuple, dict] = {}
-    # tours[(vertex, order)]: the _tour of a forced tail from there, where
-    # a walk has seen its class recur.  order lists the indices of the keys
-    # from the oldest round on: for distinct keys, what their
-    # _decision_class says.  It is bytes where the indices stay below 256.
+    # tours[(vertex, order)]: the _tour of a forced LRV tail from there,
+    # where a walk has seen its vertex and order recur.  order lists the
+    # indices of the keys from the oldest round on, as bytes where they
+    # stay below 256.
     tours: dict[tuple, tuple] = {}
     pack = bytes if len(keys) <= 256 else tuple
     indices, by_key = range(len(keys)), keys.__getitem__
@@ -298,9 +296,10 @@ def _tree_walk(g: Graph, policy: PolicyKind, start: int, horizon: int,
         else:
             if tied:
                 at = (pos, t)
-                seen = not stale and peak <= best_peak and explored.get(at)
+                seen = (not stamp and not stale and peak <= best_peak
+                        and explored.get(at))
                 size = seen and seen.get(_decision_class(
-                    keys if own_keys else vlast if stamp else None, bump))
+                    keys if bump else None))
                 if size:  # a dead subtree: count its other nodes unwalked
                     nodes += size - 1
                     if nodes > node_budget:
@@ -319,7 +318,7 @@ def _tree_walk(g: Graph, policy: PolicyKind, start: int, horizon: int,
                             (depth, f) for depth, f in enumerate(stack)
                             if f[1] < len(f[0]))
                         taken = max(frame[1], 1)
-                        # either part stores a partial count for that frame
+                        # either part may store a partial count for that frame
                         # and the ones above it when it pops them, and then
                         # its walk ends: no lookup reads those counts
                         if (yield):  # the child: the frame's later children
@@ -335,10 +334,9 @@ def _tree_walk(g: Graph, policy: PolicyKind, start: int, horizon: int,
                     break
                 stack.pop()
                 size = nodes - frame[7] + 1
-                if size >= MEMO_MIN_NODES:
-                    explored.setdefault(frame[2], {})[_decision_class(
-                        frame[6] if own_keys else frame[5] if stamp
-                        else None, bump)] = size
+                if size >= MEMO_MIN_NODES and not stamp:
+                    explored.setdefault(frame[2], {})[
+                        _decision_class(frame[6])] = size
             else:
                 break
             if idx:  # the first child starts from the frame's own state

@@ -291,6 +291,29 @@ def test_search_matches_pins(name, policy):
                                                           horizon, budget)
 
 
+def test_subtree_table_serves_lfv_and_random_only(monkeypatch):
+    # the count is that of whole walks: a split walk classes some frames in
+    # a forked child, which this count does not see
+    monkeypatch.setenv("PATROLSIM_WORKERS", "1")
+    # storing every branch subtree: a policy that keeps the table classes
+    # every frame it pops.  LRV keeps none, and counts its forced tails by
+    # their tours instead
+    monkeypatch.setattr(oracle, "MEMO_MIN_NODES", 1)
+    decision_class, calls = oracle._decision_class, {}
+
+    def counted(keys):
+        calls[policy] = calls.get(policy, 0) + 1
+        return decision_class(keys)
+
+    monkeypatch.setattr(oracle, "_decision_class", counted)
+    for (name, policy), cases in SEARCH_PINS.items():
+        g = PIN_GRAPHS[name]()
+        for start, horizon, budget, _ in cases:
+            exhaustive_tiebreak_search(g, PolicyKind.parse(policy), start,
+                                       horizon, node_budget=budget)
+    assert calls.keys() == {"lfv-v", "lfv-e", "random"}
+
+
 def test_search_rejects_negative_horizon_and_budget():
     with pytest.raises(ValueError, match="horizon"):
         exhaustive_tiebreak_search(cycle(4), PolicyKind.LRV_V, 0, -1)
@@ -903,27 +926,37 @@ def test_long_searches_match_naive_recursion(case):
                 res.nodes_explored) == expected, memo
 
 
+def _tour_order(keys):
+    # the class of a forced LRV tail's keys that ``tours`` is keyed on: the
+    # indices of the keys from the oldest round on
+    return tuple(sorted(range(len(keys)), key=keys.__getitem__))
+
+
 @pytest.mark.parametrize("bump", [False, True], ids=["lrv", "lfv"])
 def test_decision_class_decides_ties_after_each_move(bump):
-    # the class lemma behind the table: key lists of one decision class
-    # give the same tied set from any entries, and the chosen move (an LRV
-    # stamp above every key, an LFV bump) keeps them in one class.  Each
-    # pair is a key list (LRV rounds with -1 for never, or LFV counts) and
-    # its image under a strictly increasing map, a shift or new gaps
+    # the class lemmas behind the two tables: key lists of one class give
+    # the same tied set from any entries, and the chosen move keeps them in
+    # one class.  LFV counts are classed by _decision_class, the subtree
+    # table's key, under a bump; a forced tail's distinct LRV rounds (no
+    # -1) by their order, the tours' key, under a stamp above every key.
+    # Each pair is a key list and its image under a strictly increasing
+    # map, a shift or new gaps
     rng = random.Random(20261021)
-    low = 0 if bump else -1
+    decision_class = oracle._decision_class if bump else _tour_order
     pairs = 0
     for _ in range(1000):
-        keys = [rng.randint(low, 12) for _ in range(rng.randint(1, 8))]
+        if bump:
+            keys = [rng.randint(0, 12) for _ in range(rng.randint(1, 8))]
+        else:
+            keys = rng.sample(range(13), rng.randint(1, 8))
         values = sorted(set(keys))
         shift = rng.random() < 0.5
-        image = [rng.randint(low, 12)]
+        image = [rng.randint(0, 12)]
         for a, b in zip(values, values[1:]):
             image.append(image[-1] + (b - a if shift else rng.randint(1, 4)))
         to = dict(zip(values, image))
         other = [to[k] for k in keys]
-        if (oracle._decision_class(keys, bump)
-                != oracle._decision_class(other, bump)):
+        if decision_class(keys) != decision_class(other):
             continue
         pairs += 1
         for _ in range(rng.randint(1, 6)):
@@ -938,8 +971,7 @@ def test_decision_class_decides_ties_after_each_move(bump):
             else:
                 keys[i] = max(keys) + rng.randint(1, 3)
                 other[i] = max(other) + rng.randint(1, 3)
-            assert (oracle._decision_class(keys, bump)
-                    == oracle._decision_class(other, bump))
+            assert decision_class(keys) == decision_class(other)
     assert pairs >= 400
 
 
